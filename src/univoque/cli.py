@@ -66,6 +66,17 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
 def _alphabet_from_args(args) -> Alphabet:
     if getattr(args, "digits", None) is not None:
         if getattr(args, "m", None) is not None:
@@ -124,7 +135,7 @@ def cmd_check(args) -> int:
             "boundary": w.boundary,
         }
         payload["slack"] = w.slack
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return 0
 
 
@@ -154,6 +165,8 @@ def curve_rows(m_lo: float, m_hi: float, step: float) -> list[CurveRow]:
     """Rows for m = m_lo, m_lo + step, ... up to m_hi (inclusive within
     a small tolerance).  The grid is index-based so rows are identical
     across runs regardless of accumulation order."""
+    if not all(map(math.isfinite, (m_lo, m_hi, step))):
+        raise ValueError("m_lo, m_hi and step must be finite")
     if m_lo < 2.0:
         raise UnsupportedDomainError(
             f"m_lo={m_lo}: the curves are only defined for m >= 2")
@@ -195,6 +208,8 @@ def _parse_blocks(spec: str) -> list[str]:
 def cmd_automaton(args) -> int:
     if args.scan is not None:
         m, q, lmax = args.scan
+        if not lmax.is_integer():
+            raise ValueError(f"LMAX must be an integer, got {lmax}")
         blocks = [w.text() for w in scan_forbidden(m, q, int(lmax))]
     elif args.blocks is not None:
         blocks = _parse_blocks(args.blocks)
@@ -214,7 +229,7 @@ def cmd_automaton(args) -> int:
             "growth_rate": growth_rate(aut),
             "evidence": list(g.evidence),
         }
-        print(json.dumps(payload))
+        print(json.dumps(payload, allow_nan=False))
         did = True
     if args.count is not None:
         print(count_words(aut, args.count))
@@ -394,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pi = sub.add_parser("pi", help="evaluate a sequence in base q")
     p_pi.add_argument("notation", help="sequence, e.g. 'm1^w' or '(m1)^w'")
-    p_pi.add_argument("--q", type=float, required=True, help="base, q > 1")
+    p_pi.add_argument("--q", type=_finite_float, required=True,
+                      help="base, q > 1")
     p_pi.add_argument("--m", type=float, help="top digit of {0,1,m}")
     p_pi.add_argument("--digits", help="comma-separated digits, e.g. 0,1,3")
     p_pi.add_argument("--complement", action="store_true",
@@ -403,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="uniqueness verdict (JSON)")
     p_check.add_argument("notation")
-    p_check.add_argument("--q", type=float, required=True)
+    p_check.add_argument("--q", type=_finite_float, required=True)
     mode = p_check.add_mutually_exclusive_group(required=True)
     mode.add_argument("--ternary", action="store_true",
                       help="zero-free membership test over {0,1,m}")
@@ -425,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="avoidance automaton for forbidden blocks")
     p_aut.add_argument("--blocks",
                        help="comma-separated blocks over 1/m, e.g. 11,mm")
-    p_aut.add_argument("--scan", nargs=3, type=float,
+    p_aut.add_argument("--scan", nargs=3, type=_finite_float,
                        metavar=("M", "Q", "LMAX"),
                        help="derive the blocks by scanning lengths <= LMAX")
     p_aut.add_argument("--dot", action="store_true", help="print DOT source")

@@ -73,6 +73,8 @@ class Alphabet:
             raise ValueError("alphabet needs at least 2 digits")
         if len(self.chars) != len(self.digits):
             raise ValueError("one character per digit required")
+        if not all(map(math.isfinite, self.digits)):
+            raise ValueError(f"digits must be finite, got {self.digits}")
         if any(b <= a for a, b in zip(self.digits, self.digits[1:])):
             raise ValueError("digits must be strictly increasing")
         if len(set(self.chars)) != len(self.chars):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 
 from .sequences import (
     EPS_CMP,
@@ -184,6 +183,20 @@ def scan_forbidden(m: float, q: float, lmax: int, eps: float = EPS_CMP) -> list[
 
     Minimal means no listed word contains another as a factor; the list
     is ordered by length, then lexicographically with 1 < m.
+
+    The scan goes level by level over a frontier: the words 1w of the
+    current length that contain no block kept so far.  Each frontier
+    word is extended by 1, then by m.  An extension whose suffix is a
+    kept block is dropped (its other factors lie in the frontier word,
+    which avoids every block); otherwise its tail w is tested with
+    :func:`is_forbidden_block` and the word is either kept or joins the
+    next frontier.  Words avoiding the kept blocks are closed under
+    prefixes, so this visits exactly the words that contain no kept
+    block, in length-then-lex order, and tests each of them once.
+
+    Below r(m) the frontier stays small; above it, it grows by nearly a
+    factor of two with each length (m = 3, q = 2.5: 4,841 words at
+    length 15), which is why lmax is capped at 16.
     """
     if not 1 <= lmax <= 16:
         raise ValueError("lmax must be between 1 and 16")
@@ -191,16 +204,20 @@ def scan_forbidden(m: float, q: float, lmax: int, eps: float = EPS_CMP) -> list[
     one = alphabet.digits.index(1.0)
     top = len(alphabet.digits) - 1
     kept: list[Word] = []
-    kept_texts: list[str] = []
-    for length in range(2, lmax + 1):
-        for tail in product((one, top), repeat=length - 1):
-            word = Word(alphabet, (one,) + tail)
-            text = word.text()
-            if any(k in text for k in kept_texts):
-                continue
-            if is_forbidden_block(Word(alphabet, tail), m, q, eps):
-                kept.append(word)
-                kept_texts.append(text)
+    frontier: list[tuple[int, ...]] = [()]
+    for _ in range(2, lmax + 1):
+        grown = []
+        for tail in frontier:
+            for s in (one, top):
+                ext = tail + (s,)
+                word = (one,) + ext
+                if any(word[-len(k):] == k.symbols for k in kept):
+                    continue
+                if is_forbidden_block(Word(alphabet, ext), m, q, eps):
+                    kept.append(Word(alphabet, word))
+                else:
+                    grown.append(ext)
+        frontier = grown
     return kept
 
 

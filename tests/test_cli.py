@@ -53,6 +53,13 @@ def test_pi_rejects_conflicting_alphabets(capsys):
     assert "either --m or --digits" in err
 
 
+def test_pi_rejects_non_finite_base(capsys):
+    code, out, err = run(capsys, "pi", "1^w", "--q", "inf", "--m", "3")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_check_ternary_json_shape(capsys):
     code, out, _ = run(capsys, "check", "(m1)^w", "--ternary", "--m", "3",
                        "--q", "2.25")
@@ -88,6 +95,18 @@ def test_check_needs_an_infinite_sequence(capsys):
                        "--q", "2.3")
     assert code == 2
     assert "infinite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("(m1)^w", "--q", "2.4", "--ternary", "--m", "inf"),
+    ("1^w", "--q", "3", "--general", "--digits", "0,1e999"),
+    ("1^w", "--q", "inf", "--general", "--digits", "0,1"),
+])
+def test_check_rejects_non_finite_numbers(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_notation_error_exit_code(capsys):
@@ -150,6 +169,15 @@ def test_scan_curve_bad_grid_exit_code(capsys, lo, hi, step):
     assert code == 2
 
 
+def test_scan_curve_rejects_non_finite_grid(capsys):
+    # with an infinite upper end the row loop would never stop
+    code, out, err = run(capsys, "scan-curve", "--m-lo", "2", "--m-hi", "inf",
+                         "--step", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_curve_rows_helper_raises_typed_errors():
     with pytest.raises(UnsupportedDomainError):
         curve_rows(1.0, 3.0, 0.5)
@@ -188,6 +216,26 @@ def test_automaton_scan_source(capsys):
     payload = json.loads(out)
     assert payload["states"] == 3
     assert payload["kind"] == "Uncountable"
+
+
+def test_automaton_scan_rejects_non_finite_numbers(capsys):
+    code, out, err = run(capsys, "automaton", "--scan", "3", "nan", "1",
+                         "--classify")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_automaton_scan_needs_an_integer_lmax(capsys):
+    code, out, err = run(capsys, "automaton", "--scan", "3", "2.37019910851",
+                         "7.9", "--classify")
+    assert code == 2
+    assert out == ""
+    assert "LMAX" in err
+    code, out, _ = run(capsys, "automaton", "--scan", "3", "2.37019910851",
+                       "7", "--classify")
+    assert code == 0
+    assert json.loads(out)["states"] == 9
 
 
 def test_automaton_without_action_fails(capsys):

@@ -40,7 +40,8 @@ def test_general_alphabet_uses_index_characters():
     assert a.max_digit == 7.0
 
 
-@pytest.mark.parametrize("digits", [[1], [0, 0], [2, 1], []])
+@pytest.mark.parametrize("digits", [[1], [0, 0], [2, 1], [],
+                                    [0, math.inf], [0, math.nan]])
 def test_bad_alphabets_rejected(digits):
     with pytest.raises(ValueError):
         Alphabet.from_digits(digits)

@@ -1,11 +1,14 @@
 """Tests for uniqueness verdicts, forbidden blocks, and certificates."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from univoque import uniqueness
 from univoque.critical import R, r_of_m
-from univoque.sequences import Alphabet, EPSeq, parse_seq
+from univoque.sequences import Alphabet, EPSeq, Word, parse_seq
 from univoque.uniqueness import (
     FamilySpec,
     VerdictKind,
@@ -219,6 +222,43 @@ def test_forbidden_blocks_kill_membership():
         assert v.kind is VerdictKind.PROVEN_NOT_UNIQUE
         checked += 1
     assert checked > 100
+
+
+def _scan_by_brute_force(m, q, lmax):
+    """Reference scan: every word 1w of each length, in lex order.
+
+    Returns the kept blocks and the tails w passed to is_forbidden_block.
+    """
+    alphabet = Alphabet.ternary(m)
+    kept, tested = [], []
+    for length in range(2, lmax + 1):
+        for tail in product((1, 2), repeat=length - 1):
+            text = Word(alphabet, (1,) + tail).text()
+            if any(k in text for k in kept):
+                continue
+            tested.append(text[1:])
+            if is_forbidden_block(Word(alphabet, tail), m, q):
+                kept.append(text)
+    return kept, tested
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.floats(2.0, 5.0), lmax=st.integers(1, 10), data=st.data())
+def test_scan_matches_brute_force(m, lmax, data):
+    # q ranges over (2, R(m)], so above r(m) too, where the frontier grows
+    q = data.draw(st.floats(2.0, R(m), exclude_min=True), label="q")
+    expected, expected_tested = _scan_by_brute_force(m, q, lmax)
+    tested = []
+
+    def recording(w, *args):
+        tested.append(w.text())
+        return is_forbidden_block(w, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uniqueness, "is_forbidden_block", recording)
+        found = [w.text() for w in scan_forbidden(m, q, lmax)]
+    assert found == expected
+    assert tested == expected_tested
 
 
 def test_scan_limits():
