@@ -160,11 +160,15 @@ class CurveRow:
 
 CSV_HEADER = "m,P,R,p,r,branch"
 
+# Largest grid scan-curve computes; each row costs up to one root solve.
+MAX_CURVE_ROWS = 1_000_000
+
 
 def curve_rows(m_lo: float, m_hi: float, step: float) -> list[CurveRow]:
     """Rows for m = m_lo, m_lo + step, ... up to m_hi (inclusive within
     a small tolerance).  The grid is index-based so rows are identical
-    across runs regardless of accumulation order."""
+    across runs regardless of accumulation order.  A grid of more than
+    MAX_CURVE_ROWS rows raises ValueError."""
     if not all(map(math.isfinite, (m_lo, m_hi, step))):
         raise ValueError("m_lo, m_hi and step must be finite")
     if m_lo < 2.0:
@@ -175,16 +179,24 @@ def curve_rows(m_lo: float, m_hi: float, step: float) -> list[CurveRow]:
     if not step > 0:
         raise ValueError("step must be positive")
     rows = []
-    k = 0
-    while True:
+    for k in range(_grid_size(m_lo, m_hi + 1e-12, step)):
         m = m_lo + k * step
-        if m > m_hi + 1e-12:
-            break
         b = branch_for(m)
         rows.append(CurveRow(m, P(m), R(m), p_of_m(m), r_of_m(m),
                              b.label if b is not None else None))
-        k += 1
     return rows
+
+
+def _grid_size(m_lo: float, top: float, step: float) -> int:
+    """Number of k >= 0 with m_lo + k * step <= top, counted by the rule
+    the row loop uses, without computing any row."""
+    k = 0
+    while m_lo + k * step <= top:
+        k += 1
+        if k > MAX_CURVE_ROWS:
+            raise ValueError(f"the grid has more than {MAX_CURVE_ROWS} rows; "
+                             "use a larger step or a shorter range")
+    return k
 
 
 def cmd_scan_curve(args) -> int:

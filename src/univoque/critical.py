@@ -12,8 +12,9 @@ parameter windows where a defining eventually periodic sequence is
 known; outside those windows the functions return None (unsupported).
 
 All roots are found by bisection on signed residuals of the form
-pi_q(seq) - (m - 1) (plain) or reflected pi_q - 1 (complement), which
-are strictly decreasing in q; monotonicity is spot-checked by sampling.
+pi_q(seq) - (m - 1) (plain) or reflected pi_q - 1 (complement).  Both
+are series with nonnegative terms, hence strictly decreasing in q > 1;
+the solver checks this once from the digits of the sequence.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
 
-from .sequences import Alphabet, EPSeq, parse_seq, pi_complement, pi_eval
+from .sequences import (
+    Alphabet,
+    EPSeq,
+    _require_zero_free,
+    parse_seq,
+    pi_complement,
+    pi_eval,
+)
 
 PLAIN = "plain"
 COMPLEMENT = "complement"
@@ -69,33 +77,47 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float,
 
 
 def _residual_fn(seq: EPSeq, form: str, m: float) -> Callable[[float], float]:
+    """Signed residual of ``seq`` in ``form``, once it is shown to be
+    strictly decreasing in q > 1.
+
+    Both forms are series sum t_i q^-i minus a constant, with t_i = c_i
+    (plain) or m - c_i (complement).  If every t_i is >= 0 and one is
+    > 0, each term is nonincreasing in q and one strictly decreasing.
+    """
+    used = {seq.alphabet.digits[s] for s in seq.preperiod + seq.period}
     if form == PLAIN:
-        return lambda q: pi_eval(seq, q) - (m - 1.0)
-    if form == COMPLEMENT:
-        return lambda q: pi_complement(seq, m, q) - 1.0
-    raise ValueError(f"unknown residual form {form!r}")
+        terms = used
+        residual = lambda q: pi_eval(seq, q) - (m - 1.0)
+    elif form == COMPLEMENT:
+        _require_zero_free(seq, m)
+        terms = {m - d for d in used}
+        # pi_complement(seq, m, q) - 1.0, with its digit check made once
+        residual = lambda q: m / (q - 1.0) - pi_eval(seq, q) - 1.0
+    else:
+        raise ValueError(f"unknown residual form {form!r}")
+    if min(terms) < 0 or max(terms) <= 0:
+        raise ValueError(f"{form} residual of {seq} is not strictly decreasing "
+                         "in q: its series terms must be >= 0 and not all 0")
+    return residual
 
 
 def solve_pi_root(seq: EPSeq, form: str, m: float,
                   bracket: tuple[float, float] | None = None,
-                  tol: float = 1e-12, samples: int = 32) -> float:
+                  tol: float = 1e-12) -> float:
     """Bisection root of the signed residual for ``seq`` at parameter m.
 
-    The residual must change sign over the bracket and be decreasing in
-    q (verified on ``samples`` points).  The returned base q satisfies
+    The residual must be strictly decreasing in q, which is checked from
+    the digits (see ``_residual_fn``), and must change sign over the
+    bracket, by default (2, R(m)).  The returned base q satisfies
     |residual(q)| < 1e-10.
     """
     residual = _residual_fn(seq, form, m)
     if bracket is None:
         bracket = (2.0, R(m))
     lo, hi = bracket
-    if not lo < hi:
+    if not 1.0 < lo < hi:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
-    vals = [residual(lo + (hi - lo) * i / (samples - 1)) for i in range(samples)]
-    for a, b in zip(vals, vals[1:]):
-        if b > a + 1e-11 * max(1.0, abs(a)):
-            raise ValueError("non-monotone residual detected (sampled)")
-    if not (vals[0] > 0 > vals[-1]):
+    if not residual(lo) > 0 > residual(hi):
         raise ValueError(f"residual does not change sign over [{lo}, {hi}]")
     root = _bisect(residual, lo, hi, tol)
     res = residual(root)

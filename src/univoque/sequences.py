@@ -23,6 +23,10 @@ EPS_CMP = 1e-9
 
 _INDEX_CHARS = "0123456789"
 
+# Longest sequence text expansion (preperiod plus period, in symbols)
+# that repeat counts may produce; a larger one is a NotationError.
+MAX_EXPANDED_LENGTH = 1_000_000
+
 
 class NotationError(ValueError):
     """Sequence text that does not conform to the notation grammar."""
@@ -234,37 +238,65 @@ def parse_seq(text: str, alphabet: Alphabet) -> EPSeq | Word:
     Grammar: a sequence of items, where an item is a digit character, a
     parenthesized group of items, or an item followed by '^' and a
     positive repeat count.  The final item may instead carry '^w',
-    making it the period of an eventually periodic sequence.
+    making it the period of an eventually periodic sequence.  Repeat
+    counts may not expand the text beyond ``MAX_EXPANDED_LENGTH``
+    symbols.
     """
+    elements, pos = _parse_items(text, 0, alphabet, in_group=False)
+    if pos < len(text):  # stopped at a final '^w'
+        period = elements.pop()
+        pre = [s for e in elements for s in e]
+        return EPSeq(alphabet, tuple(pre), tuple(period))
+    return Word(alphabet, tuple(s for e in elements for s in e))
+
+
+def _parse_items(text: str, pos: int, alphabet: Alphabet,
+                 in_group: bool) -> tuple[list[list[int]], int]:
+    """Items from ``pos`` up to the end of the text, the ')' closing a
+    group, or a final '^w'; returns them and the position it stopped at."""
     elements: list[list[int]] = []
-    pos = 0
+    length = 0
     n = len(text)
     while pos < n:
         c = text[pos]
         if c == "^":
             if not elements:
                 raise NotationError("'^' without a preceding item", pos)
-            pos += 1
-            if pos < n and text[pos] == "w":
-                if pos + 1 != n:
-                    raise NotationError("'^w' only allowed in final position", pos - 1)
-                period = elements.pop()
-                pre = [s for e in elements for s in e]
-                return EPSeq(alphabet, tuple(pre), tuple(period))
-            count, pos = _parse_count(text, pos)
+            if pos + 1 < n and text[pos + 1] == "w":
+                if in_group or pos + 2 != n:
+                    raise NotationError("'^w' only allowed in final position", pos)
+                break
+            count, end = _parse_count(text, pos + 1)
+            length += len(elements[-1]) * (count - 1)
+            if length > MAX_EXPANDED_LENGTH:
+                raise NotationError(
+                    f"expands to more than {MAX_EXPANDED_LENGTH} symbols", pos + 1)
             elements[-1] = elements[-1] * count
+            pos = end
         elif c == "(":
-            group, pos = _parse_group(text, pos, alphabet)
-            elements.append(group)
+            group, end = _parse_items(text, pos + 1, alphabet, in_group=True)
+            if end >= n:
+                raise NotationError("unmatched '('", pos)
+            if not group:
+                raise NotationError("empty group", pos)
+            elements.append([s for e in group for s in e])
+            length += len(elements[-1])
+            if length > MAX_EXPANDED_LENGTH:
+                raise NotationError(
+                    f"expands to more than {MAX_EXPANDED_LENGTH} symbols", pos)
+            pos = end + 1
         elif c == ")":
+            if in_group:
+                break
             raise NotationError("unmatched ')'", pos)
         else:
             sym = alphabet.index_of_char(c)
             if sym is None:
                 raise NotationError(f"unknown digit character {c!r}", pos)
             elements.append([sym])
+            length += 1
             pos += 1
-    return Word(alphabet, tuple(s for e in elements for s in e))
+    return elements, pos
 
 
 def _parse_count(text: str, pos: int) -> tuple[int, int]:
@@ -277,36 +309,6 @@ def _parse_count(text: str, pos: int) -> tuple[int, int]:
     if count < 1:
         raise NotationError("repeat count must be positive", start)
     return count, pos
-
-
-def _parse_group(text: str, pos: int, alphabet: Alphabet) -> tuple[list[int], int]:
-    open_pos = pos
-    pos += 1
-    elements: list[list[int]] = []
-    while pos < len(text) and text[pos] != ")":
-        c = text[pos]
-        if c == "^":
-            if not elements:
-                raise NotationError("'^' without a preceding item", pos)
-            pos += 1
-            if pos < len(text) and text[pos] == "w":
-                raise NotationError("'^w' only allowed in final position", pos - 1)
-            count, pos = _parse_count(text, pos)
-            elements[-1] = elements[-1] * count
-        elif c == "(":
-            group, pos = _parse_group(text, pos, alphabet)
-            elements.append(group)
-        else:
-            sym = alphabet.index_of_char(c)
-            if sym is None:
-                raise NotationError(f"unknown digit character {c!r}", pos)
-            elements.append([sym])
-            pos += 1
-    if pos >= len(text):
-        raise NotationError("unmatched '('", open_pos)
-    if not elements:
-        raise NotationError("empty group", open_pos)
-    return [s for e in elements for s in e], pos + 1
 
 
 def format_seq(x: EPSeq | Word) -> str:
@@ -328,20 +330,24 @@ def _require_base(q: float) -> None:
         raise ValueError(f"base must exceed 1, got {q}")
 
 
-def _horner(digits, q: float) -> float:
-    """sum digits[j] * q**-(j+1) evaluated right to left."""
+def _horner(symbols, digits, q: float) -> float:
+    """sum digits[symbols[j]] * q**-(j+1) evaluated right to left.
+
+    Reading each digit through the table here, instead of building a
+    list of digits first, is what makes a pi_eval call cheap."""
     s = 0.0
-    for d in reversed(digits):
-        s = (s + d) / q
+    for i in reversed(symbols):
+        s = (s + digits[i]) / q
     return s
 
 
 def pi_eval(seq: EPSeq, q: float) -> float:
     """Value of the infinite series sum c_i / q**i (closed form)."""
     _require_base(q)
-    su = _horner([seq.alphabet.digits[s] for s in seq.preperiod], q)
-    sv = _horner([seq.alphabet.digits[s] for s in seq.period], q)
-    return su + q ** (-len(seq.preperiod)) * sv / (1.0 - q ** (-len(seq.period)))
+    digits, pre, per = seq.alphabet.digits, seq.preperiod, seq.period
+    su = _horner(pre, digits, q)
+    sv = _horner(per, digits, q)
+    return su + q ** (-len(pre)) * sv / (1.0 - q ** (-len(per)))
 
 
 def pi_eval_truncated(seq: EPSeq, q: float, n: int) -> float:
@@ -349,13 +355,13 @@ def pi_eval_truncated(seq: EPSeq, q: float, n: int) -> float:
     _require_base(q)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _horner([seq.digit(i) for i in range(n)], q)
+    return _horner(seq.prefix_symbols(n), seq.alphabet.digits, q)
 
 
 def pi_word(word: Word, q: float) -> float:
     """Value contributed by a finite word read from position 1."""
     _require_base(q)
-    return _horner(word.digits(), q)
+    return _horner(word.symbols, word.alphabet.digits, q)
 
 
 def pi_complement(seq: EPSeq, m: float, q: float) -> float:
@@ -365,12 +371,18 @@ def pi_complement(seq: EPSeq, m: float, q: float) -> float:
     which avoids leaving the alphabet.
     """
     _require_base(q)
+    _require_zero_free(seq, m)
+    return m / (q - 1.0) - pi_eval(seq, q)
+
+
+def _require_zero_free(seq: EPSeq, m: float) -> None:
+    """Raise ValueError unless ``seq`` uses only the digits 1 and m,
+    with m the top digit of its alphabet."""
     if abs(seq.alphabet.max_digit - m) > 1e-12:
         raise ValueError(f"m={m} does not match alphabet top digit")
     for s in set(seq.preperiod) | set(seq.period):
         if seq.alphabet.digits[s] not in (1.0, m):
             raise ValueError("complement needs a zero-free sequence over {1, m}")
-    return m / (q - 1.0) - pi_eval(seq, q)
 
 
 def lex_cmp(a: EPSeq, b: EPSeq) -> int:

@@ -24,6 +24,7 @@ from .sequences import (
     ApproxValue,
     EPSeq,
     Word,
+    _horner,
     pi_complement,
     pi_eval,
     shift,
@@ -312,18 +313,12 @@ def certify_family(family: FamilySpec, m: float, q: float,
     suffixes = {b[j + 1:] for b in blocks for j in range(len(b)) if b[j] == one}
     for suffix in suffixes:
         hi = _greedy_prefix(suffix, blocks, depth, take_max=True)
-        sup_tail = _horner_digits([digit[s] for s in hi], q) + remainder
+        sup_tail = _horner(hi, digit, q) + remainder
         if not sup_tail < m - 1.0 - eps:
             return False
         lo = _greedy_prefix(suffix, blocks, depth, take_max=False)
-        inf_tail = _horner_digits([digit[s] for s in lo], q)
+        inf_tail = _horner(lo, digit, q)
         if not m / (q - 1.0) - inf_tail < 1.0 - eps:
             return False
     return True
 
-
-def _horner_digits(digits, q: float) -> float:
-    s = 0.0
-    for d in reversed(digits):
-        s = (s + d) / q
-    return s

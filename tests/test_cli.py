@@ -1,13 +1,17 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
 from univoque.cli import (
     CSV_HEADER,
+    MAX_CURVE_ROWS,
     SEVEN_BLOCKS,
     UnsupportedDomainError,
+    _grid_size,
     curve_rows,
     main,
     run_selftest,
@@ -176,6 +180,44 @@ def test_scan_curve_rejects_non_finite_grid(capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_scan_curve_rejects_oversized_grid_promptly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan-curve", "--m-lo", "2", "--m-hi", "5",
+                         "--step", "1e-12")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert str(MAX_CURVE_ROWS) in err
+
+
+def test_grid_size_cap_is_exact():
+    step = 1 / 1024  # the grid points below are exact in binary
+    top = 2.0 + (MAX_CURVE_ROWS - 1) * step
+    assert _grid_size(2.0, top, step) == MAX_CURVE_ROWS
+    with pytest.raises(ValueError):
+        _grid_size(2.0, top + step, step)
+    # a step below the spacing of floats near m_lo never moves m
+    with pytest.raises(ValueError):
+        _grid_size(2.0, 3.0, 1e-17)
+
+
+# sha256 of stdout, pinned so that solver and parser changes keep the
+# CSV and the selftest report byte for byte
+GOLDEN_STDOUT = {
+    ("scan-curve", "--m-lo", "2", "--m-hi", "5", "--step", "0.01"):
+        "b85569145c6885e3d71b4083c5ef33477ec3c0af67eaa4be60d34dc235aedd71",
+    ("selftest",):
+        "2a3d80d3ea95279e78740d003f32a3d07852bf9d8f1467dc393630a855e76ad4",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=lambda argv: argv[0])
+def test_golden_stdout(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
 
 def test_curve_rows_helper_raises_typed_errors():

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from univoque.critical import (
     COMPLEMENT,
@@ -11,6 +12,7 @@ from univoque.critical import (
     P,
     R,
     _bisect,
+    _residual_fn,
     appendix_sign_suite,
     branch_for,
     branches,
@@ -21,7 +23,13 @@ from univoque.critical import (
     r_of_m,
     solve_pi_root,
 )
-from univoque.sequences import Alphabet, parse_seq, pi_complement, pi_eval
+from univoque.sequences import (
+    Alphabet,
+    EPSeq,
+    parse_seq,
+    pi_complement,
+    pi_eval,
+)
 
 # High-precision reference roots, each computed independently from its
 # defining polynomial with 40-digit interval arithmetic and rounded to
@@ -182,8 +190,104 @@ def test_p_quadratic_identity_on_the_pair_window():
         assert (m - 1) * p * p - m * p - m == pytest.approx(0.0, abs=1e-9)
 
 
+def _pi_eval_from_digit_lists(seq, q):
+    """pi_eval as it was when it built the lists of digits first."""
+    def horner(digits):
+        s = 0.0
+        for d in reversed(digits):
+            s = (s + d) / q
+        return s
+    su = horner([seq.alphabet.digits[s] for s in seq.preperiod])
+    sv = horner([seq.alphabet.digits[s] for s in seq.period])
+    return su + q ** (-len(seq.preperiod)) * sv / (1.0 - q ** (-len(seq.period)))
+
+
+_alphabets = st.one_of(
+    st.floats(2.0, 6.0).map(Alphabet.ternary),
+    st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=2, max_size=5,
+             unique=True).map(lambda ds: Alphabet.from_digits(sorted(ds))),
+)
+
+
+@settings(max_examples=200)
+@given(alphabet=_alphabets, data=st.data(),
+       qs=st.lists(st.floats(1.0, 4.0, exclude_min=True), min_size=1, max_size=16))
+def test_pi_eval_and_residuals_are_bit_identical(alphabet, data, qs):
+    """pi_eval reading digits through the table equals the version that
+    built digit lists first, and the solver's residuals equal the
+    pi_eval / pi_complement values exactly, so its roots are the roots
+    of the documented residuals."""
+    symbols = st.integers(0, len(alphabet.digits) - 1)
+    pre = data.draw(st.lists(symbols, max_size=6))
+    per = data.draw(st.lists(symbols, min_size=1, max_size=6))
+    seq = EPSeq(alphabet, tuple(pre), tuple(per))
+    used = {alphabet.digits[s] for s in pre + per}
+    m = alphabet.max_digit
+    cases = (
+        (PLAIN, min(used) >= 0 and max(used) > 0,
+         lambda q: pi_eval(seq, q) - (m - 1.0)),
+        (COMPLEMENT, used <= {1.0, m} and 1.0 in used and m > 1.0,
+         lambda q: pi_complement(seq, m, q) - 1.0),
+    )
+    residuals = []
+    for form, decreasing, expected in cases:
+        if decreasing:
+            residuals.append((_residual_fn(seq, form, m), expected))
+        else:
+            with pytest.raises(ValueError):
+                _residual_fn(seq, form, m)
+    for q in qs:
+        assert pi_eval(seq, q) == _pi_eval_from_digit_lists(seq, q)
+        for residual, expected in residuals:
+            assert residual(q) == expected(q)
+
+
+def _sampled_solve_pi_root(seq, form, m, bracket=None, tol=1e-12, samples=32):
+    """The solver as it was when it sampled monotonicity at 32 points."""
+    if form == PLAIN:
+        residual = lambda q: pi_eval(seq, q) - (m - 1.0)
+    else:
+        residual = lambda q: pi_complement(seq, m, q) - 1.0
+    if bracket is None:
+        bracket = (2.0, R(m))
+    lo, hi = bracket
+    if not lo < hi:
+        raise ValueError(f"invalid bracket [{lo}, {hi}]")
+    vals = [residual(lo + (hi - lo) * i / (samples - 1)) for i in range(samples)]
+    for a, b in zip(vals, vals[1:]):
+        if b > a + 1e-11 * max(1.0, abs(a)):
+            raise ValueError("non-monotone residual detected (sampled)")
+    if not (vals[0] > 0 > vals[-1]):
+        raise ValueError(f"residual does not change sign over [{lo}, {hi}]")
+    root = _bisect(residual, lo, hi, tol)
+    res = residual(root)
+    if abs(res) >= 1e-10:
+        raise ValueError(f"residual {res} at root exceeds tolerance")
+    return root
+
+
+def test_solver_matches_the_sampled_solver_on_every_branch():
+    forms = set()
+    for b in branches():
+        for i in range(25):
+            m = b.lo + (b.hi - b.lo) * i / 24
+            seq = b.defining_seq(m)
+            assert solve_pi_root(seq, b.form, m) == \
+                _sampled_solve_pi_root(seq, b.form, m), (b.label, m)
+            forms.add(b.form)
+    assert forms == {PLAIN, COMPLEMENT}
+
+
 def test_solver_error_paths():
     t3 = Alphabet.ternary(3)
+    # the residual must be provably decreasing: nonnegative digits, not all 0
+    with pytest.raises(ValueError, match="not strictly decreasing"):
+        solve_pi_root(parse_seq("(20)^w", Alphabet.from_digits((-1, 0, 3))),
+                      PLAIN, 3.0)
+    with pytest.raises(ValueError, match="not strictly decreasing"):
+        solve_pi_root(parse_seq("0^w", t3), PLAIN, 3.0)
+    with pytest.raises(ValueError):
+        solve_pi_root(parse_seq("m1^w", t3), PLAIN, 3.0, bracket=(1.0, 2.9))
     with pytest.raises(ValueError):
         solve_pi_root(parse_seq("m1^w", t3), PLAIN, 3.0, bracket=(2.6, 2.9))
     with pytest.raises(ValueError):

@@ -2,11 +2,13 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from univoque.sequences import (
+    MAX_EXPANDED_LENGTH,
     Alphabet,
     ApproxValue,
     EPSeq,
@@ -109,6 +111,28 @@ def test_notation_errors_carry_offsets(text, offset):
     with pytest.raises(NotationError) as exc:
         parse_seq(text, T3)
     assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("1^999999999", 2),
+    ("((1^1000)^1000)^1000", 16),
+    ("(1^999999)(1^999999)", 10),
+    ("1^99999999999999999999^w", 2),
+])
+def test_expansion_cap_raises_before_allocating(text, offset):
+    start = time.perf_counter()
+    with pytest.raises(NotationError) as exc:
+        parse_seq(text, T3)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.offset == offset
+    assert str(MAX_EXPANDED_LENGTH) in str(exc.value)
+
+
+def test_expansion_cap_is_inclusive():
+    w = parse_seq(f"1^{MAX_EXPANDED_LENGTH}", T3)
+    assert len(w) == MAX_EXPANDED_LENGTH
+    with pytest.raises(NotationError):
+        parse_seq(f"m1^{MAX_EXPANDED_LENGTH}", T3)
 
 
 def test_format_round_trips_fixed_cases():
