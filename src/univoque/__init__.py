@@ -35,6 +35,7 @@ from .critical import (
     SignCheck,
     SignSuiteReport,
     appendix_sign_suite,
+    bisect_root,
     branch_for,
     branches,
     compute_constants,
@@ -96,6 +97,7 @@ __all__ = [
     "Witness",
     "Word",
     "appendix_sign_suite",
+    "bisect_root",
     "branch_for",
     "branches",
     "build_safety_automaton",

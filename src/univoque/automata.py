@@ -14,17 +14,19 @@ tables and DOT exports reproducible byte for byte.
 
 from __future__ import annotations
 
-import math
+import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .sequences import Word
 
 ZERO_FREE_SYMBOLS = ("1", "m")
+
+# Largest branching component whose Perron root growth_rate computes.
+# The characteristic polynomial costs O(n^3) big-integer operations.
+MAX_PERRON_STATES = 128
 
 
 @dataclass(frozen=True)
@@ -360,10 +362,16 @@ def count_words(a: Automaton, n: int) -> int:
     return sum(counts.values())
 
 
-def growth_rate(a: Automaton, iterations: int = 200) -> float:
-    """Exponential growth rate of the factor counts, as the largest
-    spectral radius over strongly connected components (power iteration
-    on A + I, which converges on periodic cycles too)."""
+def growth_rate(a: Automaton) -> float:
+    """Exponential growth rate of the factor counts: the largest
+    spectral radius over strongly connected components, correctly
+    rounded to a float.
+
+    A component without internal edges contributes nothing, a single
+    cycle exactly 1.0, and a branching component the Perron root of its
+    adjacency matrix (:func:`_perron_root`).  A branching component of
+    more than ``MAX_PERRON_STATES`` states raises ValueError.
+    """
     a = trim(a)
     if a.start is None:
         return 0.0
@@ -372,20 +380,146 @@ def growth_rate(a: Automaton, iterations: int = 200) -> float:
     for comp, edges in zip(comps, internal):
         if edges == 0:
             continue
+        if edges == len(comp):
+            best = max(best, 1.0)
+            continue
+        if len(comp) > MAX_PERRON_STATES:
+            raise ValueError(
+                f"a branching component of {len(comp)} states exceeds "
+                f"MAX_PERRON_STATES = {MAX_PERRON_STATES}; its growth rate "
+                "is not computed")
         idx = {s: i for i, s in enumerate(comp)}
-        mat = np.zeros((len(comp), len(comp)))
-        for s in comp:
-            for t in a.transitions[s]:
-                if t is not None and t in idx:
-                    mat[idx[s], idx[t]] += 1.0
-        shifted = mat + np.eye(len(comp))
-        vec = np.full(len(comp), 1.0 / math.sqrt(len(comp)))
-        for _ in range(iterations):
-            nxt = shifted @ vec
-            vec = nxt / np.linalg.norm(nxt)
-        rate = float(vec @ (shifted @ vec)) - 1.0
-        best = max(best, rate)
+        succ = [[idx[t] for t in a.transitions[s] if t is not None and t in idx]
+                for s in comp]
+        best = max(best, _perron_root(succ))
     return best
+
+
+def _charpoly(succ: list[list[int]]) -> list[int]:
+    """Coefficients, highest power first, of det(xI - A) for the matrix
+    A whose row i counts the successors ``succ[i]``.
+
+    Le Verrier's method: the power sums p_k = tr(A^k) for k = 1..n,
+    then Newton's identities k c_(n-k) = -(p_k + sum_(i<k) c_(n-i)
+    p_(k-i)), where the division by k is exact.  Row i of A^k is the
+    sum of the rows of A^(k-1) at the successors of i.  Each row is
+    packed into one integer, a field of ``width`` bits per column; the
+    entries count walks, so they lie in [0, d^n] for largest row sum
+    d, and the packed sums never carry from one field into the next.
+    """
+    n = len(succ)
+    width = (max(map(len, succ)) ** n).bit_length() + 1
+    mask = (1 << width) - 1
+    rows = [1 << (width * i) for i in range(n)]
+    sums = []
+    for _ in range(n):
+        rows = [rows[r[0]] + rows[r[1]] if len(r) == 2 else sum(rows[t] for t in r)
+                for r in succ]
+        sums.append(sum((row >> (width * i)) & mask for i, row in enumerate(rows)))
+    coeffs = [1]
+    for k in range(1, n + 1):
+        acc = sums[k - 1] + sum(coeffs[i] * sums[k - 1 - i] for i in range(1, k))
+        coeffs.append(-acc // k)
+    return coeffs
+
+
+def _exceeds_root(coeffs: list[int], num: int, den: int) -> bool:
+    """True when num/den exceeds every real root of the polynomial
+    ``coeffs`` (highest power first, positive leading coefficient) whose
+    roots all have modulus at most its largest real root.
+
+    For such a polynomial p, x > rho exactly when every Taylor
+    coefficient of p at x is positive: for x > rho each derivative is a
+    product of factors x - z with Re z < x (Gauss-Lucas), and for
+    x <= rho the root rho - x of p(x + t) would be >= 0.  Here
+    p(x + t) is computed as den^d p((num + s)/den) with s = den t, a
+    Taylor shift of integers.
+    """
+    d = len(coeffs) - 1
+    # ascending coefficients of den^d p(y/den), then shifted to y = num + s
+    b = [c * den ** j for j, c in enumerate(coeffs)][::-1]
+    for i in range(d + 1):
+        for j in range(d - 1, i - 1, -1):
+            b[j] += num * b[j + 1]
+        if b[i] <= 0:
+            return False
+    return True
+
+
+def _perron_root(succ: list[list[int]]) -> float:
+    """Correctly rounded spectral radius rho of the irreducible matrix
+    whose row i counts the successors ``succ[i]``; rho is the largest
+    real root of its characteristic polynomial p (Perron-Frobenius).
+
+    Newton's method in floats starts at the largest row sum, which is
+    at least rho.  Every root of p has modulus at most rho, so by
+    Gauss-Lucas p, p' and p'' are positive to the right of rho and the
+    iterates descend towards it.  :func:`_round_root` then settles the
+    float they stop at exactly.
+    """
+    coeffs = _charpoly(succ)
+    while coeffs[-1] == 0:  # strip the factor x^k
+        coeffs.pop()
+    fcoeffs = [float(c) for c in coeffs]
+    x = float(max(map(len, succ)))
+    while True:
+        p = dp = 0.0
+        for c in fcoeffs:
+            dp = dp * x + p
+            p = p * x + c
+        if p <= 0.0 or dp <= 0.0:
+            break
+        nxt = x - p / dp
+        if not nxt < x:
+            break
+        x = nxt
+    return _round_root(coeffs, x)
+
+
+def _round_root(coeffs: list[int], x: float) -> float:
+    """The float nearest to the largest real root rho of the polynomial
+    ``coeffs`` (as in :func:`_exceeds_root`, rho > 0), searched for from
+    the float x.
+
+    The answer is the least float whose midpoint with the next float up
+    exceeds rho.  Steps that double from x bracket it, and bisection
+    over the floats' bit patterns finds it; when x is the answer, that
+    takes two exact tests.
+    """
+    def below_upper_midpoint(i: int) -> bool:
+        (n1, d1), (n2, d2) = (_float_at(j).as_integer_ratio() for j in (i, i + 1))
+        d = max(d1, d2)  # both are powers of 2
+        return _exceeds_root(coeffs, n1 * (d // d1) + n2 * (d // d2), 2 * d)
+
+    # ordinals lo < hi of floats >= 0, the test false at lo and true at hi
+    i = _ordinal(x)
+    step = 1
+    if below_upper_midpoint(i):
+        hi, lo = i, i - 1
+        while below_upper_midpoint(lo):
+            hi, step = lo, 2 * step
+            lo = max(hi - step, 0)
+    else:
+        lo, hi = i, i + 1
+        while not below_upper_midpoint(hi):
+            lo, step = hi, 2 * step
+            hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below_upper_midpoint(mid):
+            hi = mid
+        else:
+            lo = mid
+    return _float_at(hi)
+
+
+def _ordinal(x: float) -> int:
+    """Position of a float >= 0 in the order of all floats >= 0."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float_at(i: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", i))[0]
 
 
 def export_dot(a: Automaton, name: str = "safety") -> str:

@@ -31,8 +31,8 @@ from .critical import (
     PLAIN,
     P,
     R,
-    _bisect,
     appendix_sign_suite,
+    bisect_root,
     branch_for,
     branches,
     compute_constants,
@@ -228,10 +228,11 @@ def cmd_automaton(args) -> int:
     else:
         raise ValueError("give --blocks or --scan")
     aut = build_safety_automaton(blocks)
-    did = False
+    # every part is computed before any is written, so an error
+    # (such as a component above MAX_PERRON_STATES) leaves stdout empty
+    parts = []
     if args.dot:
-        sys.stdout.write(export_dot(aut))
-        did = True
+        parts.append(export_dot(aut))
     if args.classify:
         g = classify_growth(aut)
         payload = {
@@ -241,13 +242,12 @@ def cmd_automaton(args) -> int:
             "growth_rate": growth_rate(aut),
             "evidence": list(g.evidence),
         }
-        print(json.dumps(payload, allow_nan=False))
-        did = True
+        parts.append(json.dumps(payload, allow_nan=False) + "\n")
     if args.count is not None:
-        print(count_words(aut, args.count))
-        did = True
-    if not did:
+        parts.append(f"{count_words(aut, args.count)}\n")
+    if not parts:
         raise ValueError("nothing to do: give --dot, --classify, or --count")
+    sys.stdout.write("".join(parts))
     return 0
 
 
@@ -278,7 +278,7 @@ def _suite_endpoint_r2():
     golden_sq = (3.0 + math.sqrt(5.0)) / 2.0
     closed = r_of_m(2.0)
     solved = solve_pi_root(parse_seq("m1^w", Alphabet.ternary(2)), PLAIN, 2.0)
-    poly = _bisect(lambda q: q * q - 3.0 * q + 1.0, 2.0, 3.0)
+    poly = bisect_root(lambda q: q * q - 3.0 * q + 1.0, 2.0, 3.0)
     vals = (closed, solved, poly, golden_sq)
     ok = max(vals) - min(vals) < 1e-10
     yield "endpoint_r2", ok, f"closed={closed!r} solved={solved!r} poly={poly!r}"
@@ -333,7 +333,7 @@ def _suite_branch_residuals(points: int = 25):
                     ok = False
                     notes.append(f"{b.label}: solver disagrees at m={m}")
             if i % 6 == 0:
-                proot = _bisect(lambda q: b.polynomial(m, q), 2.0, R(m))
+                proot = bisect_root(lambda q: b.polynomial(m, q), 2.0, R(m))
                 if abs(proot - r) > 1e-9:
                     ok = False
                     notes.append(f"{b.label}: polynomial root off at m={m}")

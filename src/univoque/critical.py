@@ -27,10 +27,10 @@ from typing import Callable, Mapping
 from .sequences import (
     Alphabet,
     EPSeq,
-    _require_zero_free,
     parse_seq,
     pi_complement,
     pi_eval,
+    require_zero_free,
 )
 
 PLAIN = "plain"
@@ -53,8 +53,10 @@ def R(m: float) -> float:
     return 1.0 + m / (m - 1.0)
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float,
-            tol: float = _BISECT_TOL) -> float:
+def bisect_root(f: Callable[[float], float], lo: float, hi: float,
+                tol: float = _BISECT_TOL) -> float:
+    """A root of f in [lo, hi] by bisection to width ``tol``; f must
+    change sign over the bracket or vanish at one of its ends."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -62,6 +64,13 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float,
         return hi
     if (flo > 0) == (fhi > 0):
         raise ValueError(f"no sign change over [{lo}, {hi}]")
+    return _halve(f, lo, hi, flo > 0, tol)
+
+
+def _halve(f: Callable[[float], float], lo: float, hi: float,
+           lo_positive: bool, tol: float) -> float:
+    """Bisection of a bracket whose ends are known to have opposite
+    signs, the sign at ``lo`` given; f is not evaluated at the ends."""
     for _ in range(200):
         if hi - lo <= tol:
             break
@@ -69,7 +78,7 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float,
         fm = f(mid)
         if fm == 0.0:
             return mid
-        if (fm > 0) == (flo > 0):
+        if (fm > 0) == lo_positive:
             lo = mid
         else:
             hi = mid
@@ -89,7 +98,7 @@ def _residual_fn(seq: EPSeq, form: str, m: float) -> Callable[[float], float]:
         terms = used
         residual = lambda q: pi_eval(seq, q) - (m - 1.0)
     elif form == COMPLEMENT:
-        _require_zero_free(seq, m)
+        require_zero_free(seq.alphabet, seq.preperiod + seq.period, m)
         terms = {m - d for d in used}
         # pi_complement(seq, m, q) - 1.0, with its digit check made once
         residual = lambda q: m / (q - 1.0) - pi_eval(seq, q) - 1.0
@@ -119,7 +128,7 @@ def solve_pi_root(seq: EPSeq, form: str, m: float,
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
     if not residual(lo) > 0 > residual(hi):
         raise ValueError(f"residual does not change sign over [{lo}, {hi}]")
-    root = _bisect(residual, lo, hi, tol)
+    root = _halve(residual, lo, hi, True, tol)
     res = residual(root)
     if abs(res) >= 1e-10:
         raise ValueError(f"residual {res} at root exceeds tolerance")
@@ -159,18 +168,18 @@ def _mid_window_base(m: float) -> float:
 @lru_cache(maxsize=1)
 def compute_constants() -> Constants:
     """Solve every named constant from its defining equation."""
-    alpha = _bisect(lambda x: x * x * x - x - 1.0, 1.0, 2.0)
+    alpha = bisect_root(lambda x: x * x * x - x - 1.0, 1.0, 2.0)
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     # m_d / M_d: where the pair curve (m1)^w meets P(m), plainly and reflected
-    m_d = _bisect(lambda m: pi_eval(_ternary_seq("(m1)^w", m), P(m)) - (m - 1.0),
-                  2.5, 3.2)
-    M_d = _bisect(lambda m: pi_complement(_ternary_seq("(m1)^w", m), m, P(m)) - 1.0,
-                  4.0, 5.0)
-    q_1 = _bisect(lambda q: q * q * (q - 1.0) * (q * q - q - 3.0) - 1.0, 2.0, 3.0)
+    m_d = bisect_root(lambda m: pi_eval(_ternary_seq("(m1)^w", m), P(m)) - (m - 1.0),
+                      2.5, 3.2)
+    M_d = bisect_root(lambda m: pi_complement(_ternary_seq("(m1)^w", m), m, P(m)) - 1.0,
+                      4.0, 5.0)
+    q_1 = bisect_root(lambda q: q * q * (q - 1.0) * (q * q - q - 3.0) - 1.0, 2.0, 3.0)
     m_1 = 1.0 + q_1 - 1.0 / q_1
     m_2 = 2.992
     # m_3: where the reflection of (1mm1)^w reaches 1 at the middle-window base
-    m_3 = _bisect(
+    m_3 = bisect_root(
         lambda m: pi_complement(_ternary_seq("(1mm1)^w", m), m, _mid_window_base(m)) - 1.0,
         3.0, 3.2, tol=5e-12)
     m_4 = (3.0 + math.sqrt(13.0)) / 2.0
@@ -480,7 +489,7 @@ def locate_crossovers(perturb_p: float = 0.0) -> list[CrossoverCheck]:
     out = []
     for name, expected, lo, hi, f in entries:
         try:
-            located = _bisect(f, lo, hi)
+            located = bisect_root(f, lo, hi)
             ok = abs(located - expected) <= 1e-6
         except ValueError:
             located = math.nan

@@ -371,18 +371,24 @@ def pi_complement(seq: EPSeq, m: float, q: float) -> float:
     which avoids leaving the alphabet.
     """
     _require_base(q)
-    _require_zero_free(seq, m)
+    require_zero_free(seq.alphabet, seq.preperiod + seq.period, m)
     return m / (q - 1.0) - pi_eval(seq, q)
 
 
-def _require_zero_free(seq: EPSeq, m: float) -> None:
-    """Raise ValueError unless ``seq`` uses only the digits 1 and m,
-    with m the top digit of its alphabet."""
-    if abs(seq.alphabet.max_digit - m) > 1e-12:
-        raise ValueError(f"m={m} does not match alphabet top digit")
-    for s in set(seq.preperiod) | set(seq.period):
-        if seq.alphabet.digits[s] not in (1.0, m):
-            raise ValueError("complement needs a zero-free sequence over {1, m}")
+def require_zero_free(alphabet: Alphabet, symbols, m: float) -> None:
+    """Raise ValueError unless m is the top digit of ``alphabet`` (to
+    1e-12) and ``symbols`` use only the digits 1 and m.
+
+    The one zero-free check of the package: pi_complement, the
+    complement residual of the root solver, the zero-free verdict, the
+    forbidden-block test and the family certificate all call it."""
+    digits = alphabet.digits
+    if abs(digits[-1] - m) > 1e-12:
+        raise ValueError(f"m={m} does not match the alphabet's top digit {digits[-1]}")
+    for s in symbols:
+        if digits[s] != 1.0 and digits[s] != m:
+            raise ValueError("needs a zero-free sequence over {1, m}, "
+                             f"got digit {digits[s]}")
 
 
 def lex_cmp(a: EPSeq, b: EPSeq) -> int:

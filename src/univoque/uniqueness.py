@@ -27,6 +27,7 @@ from .sequences import (
     _horner,
     pi_complement,
     pi_eval,
+    require_zero_free,
     shift,
 )
 
@@ -105,14 +106,6 @@ def check_univoque_general(seq: EPSeq, q: float, eps: float = EPS_CMP) -> Verdic
     return _decide(worst, q, seq.alphabet.necessity_threshold, eps)
 
 
-def _require_ternary_zero_free(seq: EPSeq, m: float) -> None:
-    if abs(seq.alphabet.max_digit - m) > 1e-12:
-        raise ValueError(f"m={m} does not match the sequence's alphabet")
-    for s in set(seq.preperiod) | set(seq.period):
-        if seq.alphabet.digits[s] == 0.0:
-            raise ValueError("digit 0 present; the zero-free check needs symbols in {1, m}")
-
-
 def check_v_membership(seq: EPSeq, m: float, q: float, eps: float = EPS_CMP) -> Verdict:
     """Zero-free uniqueness check over {1, m} for q > 2.
 
@@ -124,7 +117,7 @@ def check_v_membership(seq: EPSeq, m: float, q: float, eps: float = EPS_CMP) -> 
         raise ValueError(f"m must be at least 2, got {m}")
     if not q > 2:
         raise ValueError(f"zero-free check needs q > 2, got {q}")
-    _require_ternary_zero_free(seq, m)
+    require_zero_free(seq.alphabet, seq.preperiod + seq.period, m)
     worst: Witness | None = None
     for n in range(1, len(seq.preperiod) + len(seq.period) + 1):
         if seq.digit(n - 1) != 1.0:
@@ -150,9 +143,7 @@ def _as_zero_free_word(w: Word | str, m: float) -> Word:
                 raise ValueError(f"unknown digit character {c!r} at offset {i}")
             syms.append(s)
         w = Word(alphabet, tuple(syms))
-    for d in w.digits():
-        if d not in (1.0, m):
-            raise ValueError("word must be zero-free over {1, m}")
+    require_zero_free(w.alphabet, w.symbols, m)
     return w
 
 
@@ -301,10 +292,8 @@ def certify_family(family: FamilySpec, m: float, q: float,
     if depth < 1:
         raise ValueError("depth must be positive")
     alphabet = family.alphabet
-    if abs(alphabet.max_digit - m) > 1e-12:
-        raise ValueError(f"m={m} does not match the family's alphabet")
     for b in family.blocks:
-        _as_zero_free_word(b, m)
+        require_zero_free(alphabet, b.symbols, m)
     blocks = [b.symbols for b in family.blocks]
     digit = alphabet.digits
     one = digit.index(1.0)

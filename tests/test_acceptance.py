@@ -22,8 +22,8 @@ from univoque.critical import (
     PLAIN,
     P,
     R,
-    _bisect,
     appendix_sign_suite,
+    bisect_root,
     branches,
     compute_constants,
     r_of_m,
@@ -59,7 +59,7 @@ def test_criterion_1_first_endpoint_three_way_agreement():
     def compute():
         return (r_of_m(2.0),
                 solve_pi_root(seq, PLAIN, 2.0),
-                _bisect(lambda q: q * q - 3 * q + 1, 2.0, 3.0))
+                bisect_root(lambda q: q * q - 3 * q + 1, 2.0, 3.0))
 
     vals = compute()  # warm caches before timing
     best = math.inf

@@ -2,12 +2,19 @@
 
 import itertools
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from univoque.automata import (
+    MAX_PERRON_STATES,
     Automaton,
     GrowthKind,
+    _round_root,
     build_safety_automaton,
     canonical_key,
     classify_growth,
@@ -97,15 +104,15 @@ def test_seven_block_classification_and_growth():
     assert g.evidence  # the branching component
     rate = growth_rate(a)
     assert rate > 1.05
-    # dominant root of x^6 = x^2 + 1
-    assert rate == pytest.approx(1.1509639252577580, abs=1e-9)
+    # dominant root of x^6 = x^2 + 1, correctly rounded
+    assert rate == rounded_root([1, 0, 0, 0, -1, 0, -1], 1, 2)
 
 
 def test_eight_block_classification_and_growth():
     a = build_safety_automaton(SEVEN_BLOCKS + (EIGHTH_BLOCK,))
     g = classify_growth(a)
     assert g.kind is GrowthKind.COUNTABLY_INFINITE
-    assert growth_rate(a) == pytest.approx(1.0, abs=1e-6)
+    assert growth_rate(a) == 1.0
 
 
 def test_eight_block_counts_are_quadratic():
@@ -137,11 +144,123 @@ def test_small_fixture_classifications(blocks, states, kind, paths):
 
 
 def test_full_shift_growth_rate_is_two():
-    assert growth_rate(build_safety_automaton([])) == pytest.approx(2.0, abs=1e-9)
+    assert growth_rate(build_safety_automaton([])) == 2.0
 
 
 def test_single_cycle_growth_rate_is_one():
-    assert growth_rate(build_safety_automaton(["1m"])) == pytest.approx(1.0, abs=1e-9)
+    assert growth_rate(build_safety_automaton(["1m"])) == 1.0
+
+
+def test_finite_paths_into_a_cycle_growth_rate_is_one():
+    assert growth_rate(build_safety_automaton(["11", "mm"])) == 1.0
+
+
+def rounded_root(poly, lo, hi):
+    """The float nearest to the one root of the integer polynomial
+    ``poly`` (highest power first) in [lo, hi], by exact bisection
+    until both ends of the bracket round to the same float."""
+    def value(x):
+        acc = Fraction(0)
+        for c in poly:
+            acc = acc * x + c
+        return acc
+
+    lo, hi = Fraction(lo), Fraction(hi)
+    lo_positive = value(lo) > 0
+    assert lo_positive != (value(hi) > 0)
+    while float(lo) != float(hi):
+        mid = (lo + hi) / 2
+        if (value(mid) > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+def test_tribonacci_growth_rate_is_correctly_rounded():
+    # avoiding 111: the tribonacci root of x^3 - x^2 - x - 1
+    rate = growth_rate(build_safety_automaton(["111"]))
+    assert rate == rounded_root([1, -1, -1, -1], 1, 2) == 1.8392867552141612
+
+
+def test_round_root_settles_from_any_start():
+    want = 1.8392867552141612
+    for x in (0.0, 1.0, 1.839286755214161, 1.8392867552141614, 2.0, 1e300):
+        assert _round_root([1, -1, -1, -1], x) == want
+    assert _round_root([1, -2], 1.0) == _round_root([1, -2], 3.0) == 2.0
+    assert _round_root([1, 0, -2], 1.0) == 2 ** 0.5
+
+
+def test_perron_bound_is_checked_per_branching_component():
+    # avoiding 1^n leaves one branching component of n states
+    at_bound = build_safety_automaton(["1" * MAX_PERRON_STATES])
+    assert at_bound.n_states == MAX_PERRON_STATES
+    assert growth_rate(at_bound) == 2.0  # 2 - rho is about 2^-128
+    with pytest.raises(ValueError, match="MAX_PERRON_STATES = 128"):
+        growth_rate(build_safety_automaton(["1" * (MAX_PERRON_STATES + 1)]))
+    # a long cycle needs no characteristic polynomial
+    n = 3 * MAX_PERRON_STATES
+    assert growth_rate(Automaton(tuple(((s + 1) % n, None) for s in range(n)), 0)) == 1.0
+
+
+def _components(transitions):
+    """Strongly connected components, from reachability sets."""
+    reach = []
+    for s in range(len(transitions)):
+        seen, todo = {s}, [s]
+        while todo:
+            for t in transitions[todo.pop()]:
+                if t is not None and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach.append(seen)
+    return {frozenset(t for t in reach[s] if s in reach[t])
+            for s in range(len(transitions))}
+
+
+def collatz_wielandt_bounds(transitions, width=Fraction(1, 10**12)):
+    """Exact bounds lo <= rho <= hi on the largest spectral radius over
+    the components: for the integer vectors v_k = (A + I)^k 1 of a
+    component, every ratio (v_(k+1))_i / (v_k)_i lies on both sides of
+    rho + 1, and they close in on it as k grows."""
+    lo = hi = Fraction(0)
+    for comp in _components(transitions):
+        succ = {s: [t for t in transitions[s] if t in comp] for s in comp}
+        if not any(succ.values()):
+            continue
+        v = dict.fromkeys(comp, 1)
+        for k in itertools.count():
+            w = {s: v[s] + sum(v[t] for t in succ[s]) for s in comp}
+            if k % 16 == 0:
+                ratios = [Fraction(w[s], v[s]) for s in comp]
+                c_lo, c_hi = min(ratios) - 1, max(ratios) - 1
+                if c_hi - c_lo < width or k > 4000:
+                    break
+            v = w
+        lo, hi = max(lo, c_lo), max(hi, c_hi)
+    return lo, hi
+
+
+_BLOCK = st.text(alphabet="1m", min_size=2, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_BLOCK, min_size=2, max_size=8))
+def test_growth_rate_lies_in_a_collatz_wielandt_enclosure(blocks):
+    a = build_safety_automaton(blocks)
+    lo, hi = collatz_wielandt_bounds(a.transitions)
+    # rounding is monotone, so round(lo) <= round(rho) <= round(hi)
+    assert float(lo) <= growth_rate(a) <= float(hi)
+    assert hi - lo < Fraction(1, 10**12)
+
+
+def test_import_loads_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import univoque; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_empty_language_growth_rate_is_zero():

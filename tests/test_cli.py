@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -204,16 +205,26 @@ def test_grid_size_cap_is_exact():
 
 
 # sha256 of stdout, pinned so that solver and parser changes keep the
-# CSV and the selftest report byte for byte
+# CSV and the selftest report byte for byte.  The two classifications
+# carry correctly rounded growth rates, 1.8392867552141612 (the
+# tribonacci root) and 1.7346913456924695.
 GOLDEN_STDOUT = {
     ("scan-curve", "--m-lo", "2", "--m-hi", "5", "--step", "0.01"):
         "b85569145c6885e3d71b4083c5ef33477ec3c0af67eaa4be60d34dc235aedd71",
     ("selftest",):
         "2a3d80d3ea95279e78740d003f32a3d07852bf9d8f1467dc393630a855e76ad4",
+    ("automaton", "--blocks", "111", "--classify"):
+        "6977ca1605a21f93b581fca9b5cdbc25e8120a526c40b8a64f888b7b32cac7cd",
+    ("automaton", "--blocks", "1111,mmm", "--classify"):
+        "5d65ecbb9214ad3e101bf900b9b5df6ed266bc6e6bcda245b07f30f724acff49",
 }
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=lambda argv: argv[0])
+def _golden_id(argv):
+    return f"automaton-{argv[2]}" if argv[0] == "automaton" else argv[0]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=_golden_id)
 def test_golden_stdout(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -241,7 +252,7 @@ def test_automaton_classify_json(capsys):
     assert payload["states"] == 3
     assert payload["kind"] == "FinitePaths"
     assert payload["path_count"] == 2
-    assert payload["growth_rate"] == pytest.approx(1.0, abs=1e-9)
+    assert payload["growth_rate"] == 1.0
 
 
 def test_automaton_dot(capsys):
@@ -278,6 +289,29 @@ def test_automaton_scan_needs_an_integer_lmax(capsys):
                        "7", "--classify")
     assert code == 0
     assert json.loads(out)["states"] == 9
+
+
+def test_automaton_rejects_a_branching_component_above_the_perron_bound(capsys):
+    # avoiding one long block leaves a branching component of about
+    # 10,000 states, far above MAX_PERRON_STATES
+    rng = random.Random(10_000)
+    block = "".join(rng.choice("1m") for _ in range(10_000))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "automaton", "--blocks", block, "--classify")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2
+    assert out == ""
+    assert "MAX_PERRON_STATES = 128" in err
+    # nothing is written when a later part fails
+    code, out, err = run(capsys, "automaton", "--blocks", block, "--dot", "--classify")
+    assert (code, out) == (2, "")
+    assert "MAX_PERRON_STATES" in err
+    code, out, _ = run(capsys, "automaton", "--blocks", block, "--dot")
+    assert code == 0
+    assert out.count("->") > 2 * 9_000
+    code, out, _ = run(capsys, "automaton", "--blocks", block, "--count", "64")
+    assert code == 0
+    assert out.strip() == str(2 ** 64)
 
 
 def test_automaton_without_action_fails(capsys):

@@ -11,9 +11,9 @@ from univoque.critical import (
     PLAIN,
     P,
     R,
-    _bisect,
     _residual_fn,
     appendix_sign_suite,
+    bisect_root,
     branch_for,
     branches,
     compute_constants,
@@ -91,7 +91,7 @@ def test_constants_are_cached():
 def test_first_endpoint_three_ways():
     closed = r_of_m(2.0)
     solved = solve_pi_root(parse_seq("m1^w", Alphabet.ternary(2)), PLAIN, 2.0)
-    poly = _bisect(lambda q: q * q - 3 * q + 1, 2.0, 3.0)
+    poly = bisect_root(lambda q: q * q - 3 * q + 1, 2.0, 3.0)
     golden_sq = (3 + math.sqrt(5)) / 2
     for v in (closed, solved, poly):
         assert v == pytest.approx(golden_sq, abs=1e-10)
@@ -139,7 +139,7 @@ def test_polynomial_roots_match_the_pi_roots():
         for i in range(10):
             m = b.lo + (b.hi - b.lo) * i / 9
             r = r_of_m(m)
-            proot = _bisect(lambda q: b.polynomial(m, q), 2.0, R(m))
+            proot = bisect_root(lambda q: b.polynomial(m, q), 2.0, R(m))
             assert abs(proot - r) < 1e-9, (b.label, m)
 
 
@@ -259,7 +259,7 @@ def _sampled_solve_pi_root(seq, form, m, bracket=None, tol=1e-12, samples=32):
             raise ValueError("non-monotone residual detected (sampled)")
     if not (vals[0] > 0 > vals[-1]):
         raise ValueError(f"residual does not change sign over [{lo}, {hi}]")
-    root = _bisect(residual, lo, hi, tol)
+    root = bisect_root(residual, lo, hi, tol)
     res = residual(root)
     if abs(res) >= 1e-10:
         raise ValueError(f"residual {res} at root exceeds tolerance")
@@ -276,6 +276,22 @@ def test_solver_matches_the_sampled_solver_on_every_branch():
                 _sampled_solve_pi_root(seq, b.form, m), (b.label, m)
             forms.add(b.form)
     assert forms == {PLAIN, COMPLEMENT}
+
+
+def test_solver_evaluates_the_residual_once_per_base(monkeypatch):
+    bases = []
+
+    def recording_pi_eval(seq, q):
+        bases.append(q)
+        return pi_eval(seq, q)
+
+    monkeypatch.setattr("univoque.critical.pi_eval", recording_pi_eval)
+    for b in branches():
+        m = (b.lo + b.hi) / 2
+        bases.clear()
+        root = solve_pi_root(b.defining_seq(m), b.form, m)
+        assert len(bases) == len(set(bases)), b.label
+        assert bases[:2] == [2.0, R(m)] and bases[-1] == root
 
 
 def test_solver_error_paths():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from univoque import uniqueness
-from univoque.critical import R, r_of_m
-from univoque.sequences import Alphabet, EPSeq, Word, parse_seq
+from univoque.critical import COMPLEMENT, R, r_of_m, solve_pi_root
+from univoque.sequences import Alphabet, EPSeq, Word, parse_seq, pi_complement
 from univoque.uniqueness import (
     FamilySpec,
     VerdictKind,
@@ -136,6 +136,43 @@ def test_pair_sequence_member_above_its_root():
 def test_membership_requires_zero_free():
     with pytest.raises(ValueError):
         check_v_membership(parse_seq("0(m1)^w", T3), 3.0, 2.5)
+
+
+A0123 = Alphabet.from_digits([0, 1, 2, 3])
+
+
+def _zero_free_entry_points(seq, m):
+    """Every caller of the zero-free check, applied to one sequence."""
+    word = Word(seq.alphabet, seq.preperiod + seq.period)
+    return [
+        lambda: pi_complement(seq, m, 2.3),
+        lambda: solve_pi_root(seq, COMPLEMENT, m),
+        lambda: check_v_membership(seq, m, 2.3),
+        lambda: is_forbidden_block(word, m, 2.3),
+        lambda: certify_family(FamilySpec((word,)), m, 2.3),
+    ]
+
+
+@pytest.mark.parametrize("text,alphabet,m,message", [
+    ("1(m0)^w", T3, 3.0, "zero-free"),
+    ("(1m)^w", T3, 4.0, "top digit"),
+    ("2(13)^w", A0123, 3.0, "zero-free"),
+])
+def test_one_zero_free_check_for_every_caller(text, alphabet, m, message):
+    for call in _zero_free_entry_points(parse_seq(text, alphabet), m):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_zero_free_check_covers_every_digit_and_the_top_digit():
+    # a digit other than 1 and m is refused even where it sits before
+    # every digit 1, or where no digit 1 occurs
+    for text in ("2(13)^w", "2^w", "23^w"):
+        with pytest.raises(ValueError, match="zero-free"):
+            check_v_membership(parse_seq(text, A0123), 3.0, 2.3)
+    # a word of ones is refused when m is not its alphabet's top digit
+    with pytest.raises(ValueError, match="top digit"):
+        is_forbidden_block(Word(T3, (1, 1)), 4.0, 2.3)
 
 
 def test_membership_requires_q_above_two():
