@@ -17,12 +17,10 @@ from .automata import (
     GrowthClass,
     GrowthKind,
     build_safety_automaton,
-    canonical_key,
     classify_growth,
     count_words,
     export_dot,
     growth_rate,
-    is_isomorphic,
     strongly_connected_components,
     trim,
 )
@@ -53,11 +51,9 @@ from .sequences import (
     NotationError,
     Word,
     format_seq,
-    lex_cmp,
     parse_seq,
     pi_complement,
     pi_eval,
-    pi_eval_truncated,
     pi_word,
     shift,
 )
@@ -101,7 +97,6 @@ __all__ = [
     "branch_for",
     "branches",
     "build_safety_automaton",
-    "canonical_key",
     "certify_family",
     "check_univoque_general",
     "check_v_membership",
@@ -113,14 +108,11 @@ __all__ = [
     "format_seq",
     "growth_rate",
     "is_forbidden_block",
-    "is_isomorphic",
-    "lex_cmp",
     "locate_crossovers",
     "p_of_m",
     "parse_seq",
     "pi_complement",
     "pi_eval",
-    "pi_eval_truncated",
     "pi_word",
     "r_of_m",
     "scan_forbidden",

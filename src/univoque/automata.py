@@ -192,16 +192,6 @@ def _canonical_form(a: Automaton) -> Automaton:
     return Automaton(rows, 0, a.forbidden, a.symbols)
 
 
-def canonical_key(a: Automaton):
-    """Hashable form invariant under state relabeling (metadata ignored)."""
-    c = _canonical_form(trim(a))
-    return (c.symbols, c.start, c.transitions)
-
-
-def is_isomorphic(a: Automaton, b: Automaton) -> bool:
-    return canonical_key(a) == canonical_key(b)
-
-
 def strongly_connected_components(
         transitions: Sequence[Sequence[int | None]]) -> list[tuple[int, ...]]:
     """Tarjan's algorithm with an explicit stack."""

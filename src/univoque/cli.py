@@ -105,6 +105,8 @@ def cmd_pi(args) -> int:
         value = pi_eval(seq, args.q)
     else:
         value = pi_word(seq, args.q)
+    if not math.isfinite(value):
+        raise ValueError(f"the value overflows a float: {value}")
     print(_fmt(value))
     return 0
 
@@ -218,15 +220,16 @@ def _parse_blocks(spec: str) -> list[str]:
 
 
 def cmd_automaton(args) -> int:
+    if args.scan is None and args.blocks is None:
+        raise ValueError("give --blocks or --scan")
+    blocks = []
     if args.scan is not None:
         m, q, lmax = args.scan
         if not lmax.is_integer():
             raise ValueError(f"LMAX must be an integer, got {lmax}")
         blocks = [w.text() for w in scan_forbidden(m, q, int(lmax))]
-    elif args.blocks is not None:
-        blocks = _parse_blocks(args.blocks)
-    else:
-        raise ValueError("give --blocks or --scan")
+    if args.blocks is not None:
+        blocks += _parse_blocks(args.blocks)
     aut = build_safety_automaton(blocks)
     # every part is computed before any is written, so an error
     # (such as a component above MAX_PERRON_STATES) leaves stdout empty
@@ -452,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_aut = sub.add_parser("automaton",
                            help="avoidance automaton for forbidden blocks")
     p_aut.add_argument("--blocks",
-                       help="comma-separated blocks over 1/m, e.g. 11,mm")
+                       help="comma-separated blocks over 1/m, e.g. 11,mm; "
+                            "with --scan, added to the scanned blocks")
     p_aut.add_argument("--scan", nargs=3, type=_finite_float,
                        metavar=("M", "Q", "LMAX"),
                        help="derive the blocks by scanning lengths <= LMAX")
@@ -465,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="run consistency suites")
     p_self.add_argument("--json", action="store_true")
-    p_self.add_argument("--perturb-p", type=float, default=0.0,
+    p_self.add_argument("--perturb-p", type=_finite_float, default=0.0,
                         help="offset added to P(m); nonzero must fail")
     p_self.set_defaults(func=cmd_selftest)
 

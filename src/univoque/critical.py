@@ -345,23 +345,6 @@ class SignSuiteReport:
     def passed(self) -> bool:
         return not self.failures and not self.failed_crossovers
 
-    def summary_lines(self) -> list[str]:
-        lines = []
-        names: dict[str, list[SignCheck]] = {}
-        for c in self.checks:
-            names.setdefault(c.name, []).append(c)
-        for name, cs in names.items():
-            bad = [c for c in cs if not c.passed]
-            status = "PASS" if not bad else "FAIL"
-            detail = f"{len(cs) - len(bad)}/{len(cs)} points"
-            lines.append(f"{status} {name} ({detail})")
-        for x in self.crossovers:
-            status = "PASS" if x.passed else "FAIL"
-            lines.append(
-                f"{status} crossover {x.name} located {x.located:.9f} "
-                f"expected {x.expected:.9f}")
-        return lines
-
 
 def default_m_grid(points: int = 200) -> tuple[float, ...]:
     return tuple(2.0 + 8.0 * i / (points - 1) for i in range(points))

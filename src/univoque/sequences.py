@@ -47,14 +47,6 @@ class ApproxValue:
     value: float
     err: float = EPS_CMP
 
-    def sign(self) -> int:
-        """-1, +1, or 0 when the value is within ``err`` of zero."""
-        if self.value > self.err:
-            return 1
-        if self.value < -self.err:
-            return -1
-        return 0
-
     @property
     def boundary(self) -> bool:
         return abs(self.value) <= self.err
@@ -103,36 +95,18 @@ class Alphabet:
         return cls(digits, tuple(_INDEX_CHARS[: len(digits)]))
 
     @property
-    def min_digit(self) -> float:
-        return self.digits[0]
-
-    @property
     def max_digit(self) -> float:
         return self.digits[-1]
-
-    @property
-    def span(self) -> float:
-        return self.digits[-1] - self.digits[0]
-
-    @property
-    def gaps(self) -> tuple[float, ...]:
-        return tuple(b - a for a, b in zip(self.digits, self.digits[1:]))
 
     @property
     def necessity_threshold(self) -> float:
         """Base below which the uniqueness conditions are also necessary.
 
-        Equal to 1 + span / max_gap; for {0,1,m} this is 1 + m/(m-1).
+        Equal to 1 + span / max_gap, where span is the top digit minus
+        the bottom one; for {0,1,m} this is 1 + m/(m-1).
         """
-        return 1.0 + self.span / max(self.gaps)
-
-    @property
-    def saturation_threshold(self) -> float:
-        """Base above which every sequence over the alphabet is unique.
-
-        Equal to 1 + span / min_gap.
-        """
-        return 1.0 + self.span / min(self.gaps)
+        d = self.digits
+        return 1.0 + (d[-1] - d[0]) / max(b - a for a, b in zip(d, d[1:]))
 
     def index_of_char(self, c: str) -> int | None:
         try:
@@ -195,12 +169,6 @@ class EPSeq:
 
     def digit(self, i: int) -> float:
         return self.alphabet.digits[self.symbol(i)]
-
-    def prefix_symbols(self, n: int) -> tuple[int, ...]:
-        return tuple(self.symbol(i) for i in range(n))
-
-    def uses_symbol(self, s: int) -> bool:
-        return s in self.preperiod or s in self.period
 
     def __str__(self) -> str:
         return format_seq(self)
@@ -350,14 +318,6 @@ def pi_eval(seq: EPSeq, q: float) -> float:
     return su + q ** (-len(pre)) * sv / (1.0 - q ** (-len(per)))
 
 
-def pi_eval_truncated(seq: EPSeq, q: float, n: int) -> float:
-    """Partial sum of the first n terms."""
-    _require_base(q)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _horner(seq.prefix_symbols(n), seq.alphabet.digits, q)
-
-
 def pi_word(word: Word, q: float) -> float:
     """Value contributed by a finite word read from position 1."""
     _require_base(q)
@@ -389,22 +349,6 @@ def require_zero_free(alphabet: Alphabet, symbols, m: float) -> None:
         if digits[s] != 1.0 and digits[s] != m:
             raise ValueError("needs a zero-free sequence over {1, m}, "
                              f"got digit {digits[s]}")
-
-
-def lex_cmp(a: EPSeq, b: EPSeq) -> int:
-    """-1, 0, or +1 for lexicographic order; 0 only for equal sequences."""
-    if a.alphabet != b.alphabet:
-        raise ValueError("sequences must share an alphabet")
-    horizon = (
-        len(a.preperiod)
-        + len(b.preperiod)
-        + math.lcm(len(a.period), len(b.period))
-    )
-    for i in range(horizon):
-        sa, sb = a.symbol(i), b.symbol(i)
-        if sa != sb:
-            return -1 if sa < sb else 1
-    return 0
 
 
 def shift(seq: EPSeq, n: int) -> EPSeq:

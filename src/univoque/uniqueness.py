@@ -61,10 +61,6 @@ class Verdict:
     kind: VerdictKind
     witness: Witness | None
 
-    @property
-    def is_unique(self) -> bool:
-        return self.kind is VerdictKind.PROVEN_UNIQUE
-
 
 def _decide(worst: Witness | None, q: float, iff_threshold: float, eps: float) -> Verdict:
     if worst is None or worst.slack > eps:
@@ -243,10 +239,6 @@ class FamilySpec:
     @property
     def alphabet(self) -> Alphabet:
         return self.blocks[0].alphabet
-
-    @property
-    def supports_uncountability(self) -> bool:
-        return len(set(self.blocks)) >= 2
 
 
 def _greedy_prefix(suffix, blocks, depth: int, take_max: bool):

@@ -9,7 +9,14 @@ import math
 import random
 import time
 
-from test_automata import oracle_count
+from test_automata import (
+    EIGHTH_BLOCK,
+    NINE_STATE_TABLE,
+    SEVEN_BLOCKS,
+    SEVEN_STATE_TABLE,
+    oracle_count,
+)
+from test_uniqueness import CERTIFIED
 
 from univoque.automata import (
     GrowthKind,
@@ -37,14 +44,6 @@ from univoque.uniqueness import (
     check_univoque_general,
     scan_forbidden,
 )
-
-SEVEN_BLOCKS = ("111", "1mmm", "11m11", "11m1m1",
-                "1mm1mm", "11m1mm1", "1mm1m1m")
-EIGHTH_BLOCK = "1mm1m11mm1"
-NINE_STATE_TABLE = ((1, 0), (2, 3), (None, 4), (1, 5), (None, 5),
-                    (6, None), (2, 7), (8, None), (2, None))
-SEVEN_STATE_TABLE = ((1, 0), (2, 3), (None, 4), (1, 5), (None, 5),
-                     (6, None), (2, None))
 
 
 def _report(num, ok, detail):
@@ -147,14 +146,9 @@ def test_criterion_5_forbidden_block_scan():
 
 
 def test_criterion_6_family_certificates():
-    cases = [
-        (("mmmmm1", "mmmmmm1"), 3.0, 2.5),
-        (("m111", "m1111"), 2.0, 2.65),
-        (("mm1", "mm1m1"), 4.0, 2.25),
-    ]
     ok = True
     parts = []
-    for texts, m, q in cases:
+    for texts, m, q in CERTIFIED:
         fam = FamilySpec.from_texts(texts, m)
         at_q = certify_family(fam, m, q)
         below = certify_family(fam, m, r_of_m(m) - 0.01)

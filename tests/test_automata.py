@@ -16,12 +16,10 @@ from univoque.automata import (
     GrowthKind,
     _round_root,
     build_safety_automaton,
-    canonical_key,
     classify_growth,
     count_words,
     export_dot,
     growth_rate,
-    is_isomorphic,
     strongly_connected_components,
     trim,
 )
@@ -364,21 +362,6 @@ def test_dot_export_is_deterministic():
 def test_dot_export_handles_the_empty_language():
     dot = export_dot(build_safety_automaton(["1", "m"]))
     assert "empty" in dot
-
-
-def test_isomorphism_ignores_state_numbering_and_metadata():
-    a = build_safety_automaton(["11", "mm"])
-    # same shape with states permuted: 0->2, 1->0, 2->1
-    b = Automaton(((None, 1), (0, None), (0, 1)), 2, forbidden=("whatever",))
-    assert is_isomorphic(a, b)
-    assert canonical_key(a) == canonical_key(b)
-    c = build_safety_automaton(["11", "1mm"])
-    assert not is_isomorphic(a, c)
-
-
-def test_canonical_key_stable_under_trim():
-    a = build_safety_automaton(SEVEN_BLOCKS)
-    assert canonical_key(a) == canonical_key(trim(a))
 
 
 def test_scc_structure_of_the_nine_state_automaton():

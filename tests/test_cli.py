@@ -65,6 +65,13 @@ def test_pi_rejects_non_finite_base(capsys):
     assert "error:" in err
 
 
+def test_pi_rejects_a_value_that_overflows(capsys):
+    code, out, err = run(capsys, "pi", "m^w", "--q", "1.5", "--m", "1e308")
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err
+
+
 def test_check_ternary_json_shape(capsys):
     code, out, _ = run(capsys, "check", "(m1)^w", "--ternary", "--m", "3",
                        "--q", "2.25")
@@ -207,7 +214,8 @@ def test_grid_size_cap_is_exact():
 # sha256 of stdout, pinned so that solver and parser changes keep the
 # CSV and the selftest report byte for byte.  The two classifications
 # carry correctly rounded growth rates, 1.8392867552141612 (the
-# tribonacci root) and 1.7346913456924695.
+# tribonacci root) and 1.7346913456924695.  The DOT entry is the
+# seven-state automaton of the blocks scanned at r(3) plus the eighth.
 GOLDEN_STDOUT = {
     ("scan-curve", "--m-lo", "2", "--m-hi", "5", "--step", "0.01"):
         "b85569145c6885e3d71b4083c5ef33477ec3c0af67eaa4be60d34dc235aedd71",
@@ -217,6 +225,9 @@ GOLDEN_STDOUT = {
         "6977ca1605a21f93b581fca9b5cdbc25e8120a526c40b8a64f888b7b32cac7cd",
     ("automaton", "--blocks", "1111,mmm", "--classify"):
         "5d65ecbb9214ad3e101bf900b9b5df6ed266bc6e6bcda245b07f30f724acff49",
+    ("automaton", "--scan", "3", "2.37019910851", "7", "--blocks", "1mm1m11mm1",
+     "--dot"):
+        "9b403e31670d585263f515d1c9bb59a4cec4408c288aec3a5c8cadc2fd299122",
 }
 
 
@@ -348,6 +359,14 @@ def test_selftest_perturbation_fails(capsys):
     code, out, _ = run(capsys, "selftest", "--perturb-p", "0.001")
     assert code == 1
     assert "FAIL sign_relations" in out
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_selftest_rejects_a_non_finite_perturbation(capsys, value):
+    code, out, err = run(capsys, "selftest", "--perturb-p", value)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -345,10 +345,3 @@ def test_perturbing_p_breaks_the_suite():
     failing = {c.name for c in report.failures}
     assert "P_product_identity" in failing
     assert report.failed_crossovers
-
-
-def test_sign_suite_summary_lines():
-    report = appendix_sign_suite(m_grid=(2.5, 3.0, 3.5))
-    lines = report.summary_lines()
-    assert any(line.startswith("PASS P_product_identity") for line in lines)
-    assert any("crossover" in line for line in lines)

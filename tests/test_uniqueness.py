@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from univoque import uniqueness
-from univoque.critical import COMPLEMENT, R, r_of_m, solve_pi_root
+from univoque.critical import COMPLEMENT, R, bisect_root, r_of_m, solve_pi_root
 from univoque.sequences import Alphabet, EPSeq, Word, parse_seq, pi_complement
 from univoque.uniqueness import (
     FamilySpec,
@@ -31,12 +31,17 @@ def _zero_free(rng, m, max_pre=5, max_per=5):
     return EPSeq(alphabet, pre, per)
 
 
+def _saturation(alphabet):
+    """1 + span / min_gap: above this base every sequence is unique."""
+    d = alphabet.digits
+    return 1.0 + (d[-1] - d[0]) / min(b - a for a, b in zip(d, d[1:]))
+
+
 # --- general checker --------------------------------------------------------
 
 def test_all_ones_over_binary_alphabet_is_unique():
     v = check_univoque_general(parse_seq("1^w", B01), 1.5)
     assert v.kind is VerdictKind.PROVEN_UNIQUE
-    assert v.is_unique
 
 
 def test_top_digit_boundary_case_flagged():
@@ -84,7 +89,7 @@ def test_everything_unique_above_saturation():
         per = tuple(rng.randrange(len(digits))
                     for _ in range(1, rng.randrange(1, 4) + 1))
         seq = EPSeq(alphabet, pre, per)
-        q = alphabet.saturation_threshold + rng.uniform(0.01, 2.0)
+        q = _saturation(alphabet) + rng.uniform(0.01, 2.0)
         assert check_univoque_general(seq, q).kind is VerdictKind.PROVEN_UNIQUE
 
 
@@ -98,7 +103,7 @@ def test_inconclusive_only_above_necessity_threshold():
         per = tuple(rng.randrange(len(digits))
                     for _ in range(1, rng.randrange(1, 4) + 1))
         seq = EPSeq(alphabet, pre, per)
-        q = rng.uniform(1.05, alphabet.saturation_threshold + 1)
+        q = rng.uniform(1.05, _saturation(alphabet) + 1)
         v = check_univoque_general(seq, q)
         if v.kind is VerdictKind.INCONCLUSIVE:
             seen_inconclusive += 1
@@ -220,11 +225,16 @@ def test_scan_results_are_minimal_and_ordered():
 
 def test_longer_block_beyond_the_first_seven():
     # 1 mm1m11mm1 is not forbidden at the m=3 threshold but becomes
-    # forbidden a little below it
+    # forbidden a little below it; bisecting the test itself puts the
+    # crossing near 2.3700310, against r(3) = 2.3701991
     w = "mm1m11mm1"
-    assert not is_forbidden_block(w, 3.0, r_of_m(3.0))
+    r3 = r_of_m(3.0)
+    assert not is_forbidden_block(w, 3.0, r3)
     assert is_forbidden_block(w, 3.0, 2.3)
     assert is_forbidden_block(w, 3.0, 2.1)
+    crossing = bisect_root(
+        lambda q: 1.0 if is_forbidden_block(w, 3.0, q) else -1.0, 2.05, r3)
+    assert 2.37003 < crossing < 2.3700311
 
 
 def test_forbidden_block_validates_inputs():
@@ -311,8 +321,7 @@ def test_family_spec_validation():
     with pytest.raises(ValueError):
         FamilySpec(())
     fam = FamilySpec.from_texts(["mm1", "mm1m1"], 4.0)
-    assert fam.supports_uncountability
-    assert not FamilySpec.from_texts(["mm1"], 4.0).supports_uncountability
+    assert [b.text() for b in fam.blocks] == ["mm1", "mm1m1"]
 
 
 def test_family_spec_rejects_mixed_alphabets():
