@@ -22,7 +22,6 @@ from .automata import (
     export_dot,
     growth_rate,
     strongly_connected_components,
-    trim,
 )
 from .critical import (
     Branch,
@@ -119,6 +118,5 @@ __all__ = [
     "shift",
     "solve_pi_root",
     "strongly_connected_components",
-    "trim",
     "__version__",
 ]

@@ -4,12 +4,12 @@ A finite set of forbidden blocks defines a subshift: the set of
 infinite sequences over the two symbols '1' and 'm' containing none of
 the blocks as a factor.  The automaton built here accepts exactly the
 prefixes of those sequences: an Aho-Corasick matcher with the matching
-states deleted, then pruned so that every remaining state lies on an
-infinite path.
+states deleted.
 
-States of a built automaton are numbered in breadth-first order from
-the start (symbol '1' explored before 'm'), which makes transition
-tables and DOT exports reproducible byte for byte.
+Every :class:`Automaton` is stored in one normal form: only the states
+on an infinite path from the start are kept, numbered in breadth-first
+order from the start (symbol '1' explored before 'm').  That makes
+transition tables and DOT exports reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ class Automaton:
     ``symbols[i]``, or None where the symbol is not allowed.  ``start``
     is None when the language is empty.  ``forbidden`` records the
     blocks the automaton was built from (metadata only).
+
+    The table given is validated and then stored in normal form (see
+    :func:`_normal_form`); building it again from its stored table
+    gives an equal automaton.
     """
 
     transitions: tuple[tuple[int | None, ...], ...]
@@ -54,6 +58,9 @@ class Automaton:
             for t in row:
                 if t is not None and not 0 <= t < n:
                     raise ValueError(f"state {s}: target {t} out of range")
+        rows, start = _normal_form(self.transitions, self.start)
+        object.__setattr__(self, "transitions", rows)
+        object.__setattr__(self, "start", start)
 
     @property
     def n_states(self) -> int:
@@ -129,67 +136,40 @@ def build_safety_automaton(blocks: Iterable[Word | str],
             rows.append(tuple(None for _ in symbols))
         else:
             rows.append(tuple(None if terminal[t] else t for t in delta[u]))
-    raw = Automaton(tuple(rows), 0, tuple(texts), symbols)
-    return _canonical_form(trim(raw))
+    return Automaton(tuple(rows), 0, tuple(texts), symbols)
 
 
-def trim(a: Automaton) -> Automaton:
-    """Remove states with no outgoing edge (repeatedly) and states not
-    reachable from the start.  Keeps every state on an infinite path.
-    Surviving states keep their relative order; idempotent."""
-    if a.start is None:
-        return Automaton((), None, a.forbidden, a.symbols)
-    alive = set(range(a.n_states))
-    while True:
-        dropped = {s for s in alive
-                   if not any(t is not None and t in alive
-                              for t in a.transitions[s])}
-        if not dropped:
-            break
-        alive -= dropped
-    if a.start not in alive:
-        return Automaton((), None, a.forbidden, a.symbols)
-    reach = {a.start}
-    frontier = [a.start]
-    while frontier:
-        s = frontier.pop()
-        for t in a.transitions[s]:
-            if t is not None and t in alive and t not in reach:
-                reach.add(t)
-                frontier.append(t)
-    kept = sorted(reach)
-    relabel = {s: i for i, s in enumerate(kept)}
-    rows = tuple(
-        tuple(relabel[t] if (t is not None and t in reach) else None
-              for t in a.transitions[s])
-        for s in kept)
-    return Automaton(rows, relabel[a.start], a.forbidden, a.symbols)
-
-
-def _bfs_order(transitions: Sequence[Sequence[int | None]],
-               start: int) -> list[int]:
-    seen = {start}
+def _normal_form(transitions: Sequence[Sequence[int | None]], start: int | None,
+                 ) -> tuple[tuple[tuple[int | None, ...], ...], int | None]:
+    """The table restricted to the states on an infinite path from the
+    start, numbered breadth-first ('1' before 'm'), and its start;
+    ``((), None)`` when there is no such path."""
+    if start is None:
+        return (), None
+    # a state is dead once none of its edges leads to a live state
+    live_edges = [sum(t is not None for t in row) for row in transitions]
+    preds: list[list[int]] = [[] for _ in transitions]
+    for s, row in enumerate(transitions):
+        for t in row:
+            if t is not None:
+                preds[t].append(s)
+    dead = [s for s, k in enumerate(live_edges) if k == 0]
+    for t in dead:  # grows while it is read
+        for s in preds[t]:
+            live_edges[s] -= 1
+            if live_edges[s] == 0:
+                dead.append(s)
+    if live_edges[start] == 0:
+        return (), None
+    relabel = {start: 0}
     order = [start]
-    qi = 0
-    while qi < len(order):
-        s = order[qi]
-        qi += 1
+    for s in order:  # grows while it is read
         for t in transitions[s]:
-            if t is not None and t not in seen:
-                seen.add(t)
+            if t is not None and live_edges[t] and t not in relabel:
+                relabel[t] = len(order)
                 order.append(t)
-    return order
-
-
-def _canonical_form(a: Automaton) -> Automaton:
-    if a.start is None:
-        return Automaton((), None, a.forbidden, a.symbols)
-    order = _bfs_order(a.transitions, a.start)
-    relabel = {s: i for i, s in enumerate(order)}
-    rows = tuple(
-        tuple(None if t is None else relabel[t] for t in a.transitions[s])
-        for s in order)
-    return Automaton(rows, 0, a.forbidden, a.symbols)
+    rows = tuple(tuple(relabel.get(t) for t in transitions[s]) for s in order)
+    return rows, 0
 
 
 def strongly_connected_components(
@@ -253,9 +233,9 @@ class GrowthClass:
     """Cardinality class of the infinite-path language.
 
     ``path_count`` is the exact number of infinite paths when finite.
-    ``evidence`` lists the states (of the trimmed automaton) of the
-    witnessing component: a branching component for Uncountable, two
-    linked cycles for CountablyInfinite."""
+    ``evidence`` lists the states (in the automaton's breadth-first
+    numbering) of the witnessing component: a branching component for
+    Uncountable, two linked cycles for CountablyInfinite."""
 
     kind: GrowthKind
     path_count: int | None = None
@@ -280,7 +260,6 @@ def _component_stats(a: Automaton):
 def classify_growth(a: Automaton) -> GrowthClass:
     """Decide whether the avoiding sequences form an empty, finite,
     countably infinite, or uncountable set."""
-    a = trim(a)
     if a.start is None:
         return GrowthClass(GrowthKind.EMPTY, 0)
     comps, comp_of, internal = _component_stats(a)
@@ -338,7 +317,6 @@ def count_words(a: Automaton, n: int) -> int:
     """
     if not 0 <= n <= 64:
         raise ValueError(f"n must be between 0 and 64, got {n}")
-    a = trim(a)
     if a.start is None:
         return 0
     counts = {a.start: 1}
@@ -362,7 +340,6 @@ def growth_rate(a: Automaton) -> float:
     adjacency matrix (:func:`_perron_root`).  A branching component of
     more than ``MAX_PERRON_STATES`` states raises ValueError.
     """
-    a = trim(a)
     if a.start is None:
         return 0.0
     comps, _comp_of, internal = _component_stats(a)

@@ -77,6 +77,15 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _perturbation(text: str) -> float:
+    """argparse type for --perturb-p: a finite offset of size at most 1;
+    the sign suite raises P(m) plus the offset to the fourth power."""
+    x = _finite_float(text)
+    if not abs(x) <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [-1, 1], got {text!r}")
+    return x
+
+
 def _alphabet_from_args(args) -> Alphabet:
     if getattr(args, "digits", None) is not None:
         if getattr(args, "m", None) is not None:
@@ -130,6 +139,8 @@ def cmd_check(args) -> int:
     payload = {"verdict": verdict.kind.value, "witness": None, "slack": None}
     if verdict.witness is not None:
         w = verdict.witness
+        if not math.isfinite(w.slack):
+            raise ValueError(f"the slack overflows a float: {w.slack}")
         payload["witness"] = {
             "position": w.position,
             "condition": w.condition,
@@ -208,8 +219,11 @@ def cmd_scan_curve(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     return 0
 
 
@@ -469,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="run consistency suites")
     p_self.add_argument("--json", action="store_true")
-    p_self.add_argument("--perturb-p", type=_finite_float, default=0.0,
+    p_self.add_argument("--perturb-p", type=_perturbation, default=0.0,
                         help="offset added to P(m); nonzero must fail")
     p_self.set_defaults(func=cmd_selftest)
 

@@ -27,6 +27,10 @@ _INDEX_CHARS = "0123456789"
 # that repeat counts may produce; a larger one is a NotationError.
 MAX_EXPANDED_LENGTH = 1_000_000
 
+# Deepest nesting of parenthesized groups; a deeper one is a
+# NotationError (the parser recurses once per group).
+MAX_GROUP_DEPTH = 100
+
 
 class NotationError(ValueError):
     """Sequence text that does not conform to the notation grammar."""
@@ -208,9 +212,9 @@ def parse_seq(text: str, alphabet: Alphabet) -> EPSeq | Word:
     positive repeat count.  The final item may instead carry '^w',
     making it the period of an eventually periodic sequence.  Repeat
     counts may not expand the text beyond ``MAX_EXPANDED_LENGTH``
-    symbols.
+    symbols, and groups may not nest deeper than ``MAX_GROUP_DEPTH``.
     """
-    elements, pos = _parse_items(text, 0, alphabet, in_group=False)
+    elements, pos = _parse_items(text, 0, alphabet, depth=0)
     if pos < len(text):  # stopped at a final '^w'
         period = elements.pop()
         pre = [s for e in elements for s in e]
@@ -219,9 +223,10 @@ def parse_seq(text: str, alphabet: Alphabet) -> EPSeq | Word:
 
 
 def _parse_items(text: str, pos: int, alphabet: Alphabet,
-                 in_group: bool) -> tuple[list[list[int]], int]:
+                 depth: int) -> tuple[list[list[int]], int]:
     """Items from ``pos`` up to the end of the text, the ')' closing a
-    group, or a final '^w'; returns them and the position it stopped at."""
+    group (``depth`` > 0 inside one), or a final '^w'; returns them and
+    the position it stopped at."""
     elements: list[list[int]] = []
     length = 0
     n = len(text)
@@ -231,7 +236,7 @@ def _parse_items(text: str, pos: int, alphabet: Alphabet,
             if not elements:
                 raise NotationError("'^' without a preceding item", pos)
             if pos + 1 < n and text[pos + 1] == "w":
-                if in_group or pos + 2 != n:
+                if depth or pos + 2 != n:
                     raise NotationError("'^w' only allowed in final position", pos)
                 break
             count, end = _parse_count(text, pos + 1)
@@ -242,7 +247,10 @@ def _parse_items(text: str, pos: int, alphabet: Alphabet,
             elements[-1] = elements[-1] * count
             pos = end
         elif c == "(":
-            group, end = _parse_items(text, pos + 1, alphabet, in_group=True)
+            if depth == MAX_GROUP_DEPTH:
+                raise NotationError(
+                    f"groups nested deeper than {MAX_GROUP_DEPTH}", pos)
+            group, end = _parse_items(text, pos + 1, alphabet, depth + 1)
             if end >= n:
                 raise NotationError("unmatched '('", pos)
             if not group:
@@ -254,7 +262,7 @@ def _parse_items(text: str, pos: int, alphabet: Alphabet,
                     f"expands to more than {MAX_EXPANDED_LENGTH} symbols", pos)
             pos = end + 1
         elif c == ")":
-            if in_group:
+            if depth:
                 break
             raise NotationError("unmatched ')'", pos)
         else:

@@ -21,7 +21,6 @@ from univoque.automata import (
     export_dot,
     growth_rate,
     strongly_connected_components,
-    trim,
 )
 
 SEVEN_BLOCKS = ("111", "1mmm", "11m11", "11m1m1",
@@ -295,29 +294,79 @@ def test_counts_are_exact_integers_at_width_64():
     assert count_words(full, 64) == 2 ** 64
 
 
+def rebuilt(a):
+    """The automaton constructed again from its stored table."""
+    return Automaton(a.transitions, a.start, a.forbidden, a.symbols)
+
+
 def test_trim_is_idempotent_and_build_output_is_trimmed():
+    # the constructor trims: rebuilding from a stored table changes nothing
     rng = random.Random(55)
     for _ in range(40):
         blocks = {"".join(rng.choice("1m") for _ in range(rng.randrange(1, 5)))
                   for _ in range(rng.randrange(0, 4))}
         a = build_safety_automaton(blocks)
-        assert trim(a) == a
-        assert trim(trim(a)) == trim(a)
+        assert rebuilt(a) == a
+        assert rebuilt(rebuilt(a)) == rebuilt(a)
 
 
 def test_trim_removes_dead_branches():
     # state 2 has no outgoing edges; state 3 is unreachable
-    raw = Automaton(((1, 2), (0, None), (None, None), (0, 0)), 0)
-    t = trim(raw)
+    t = Automaton(((1, 2), (0, None), (None, None), (0, 0)), 0)
     assert t.n_states == 2
     assert t.transitions == ((1, None), (0, None))
 
 
 def test_trim_can_empty_the_automaton():
-    raw = Automaton(((1, None), (None, None)), 0)
-    t = trim(raw)
+    t = Automaton(((1, None), (None, None)), 0)
     assert t.start is None
     assert t.n_states == 0
+    assert t.transitions == ()
+
+
+@st.composite
+def raw_tables(draw):
+    n = draw(st.integers(1, 12))
+    target = st.none() | st.integers(0, n - 1)
+    rows = draw(st.lists(st.tuples(target, target), min_size=n, max_size=n))
+    return tuple(rows), draw(st.none() | st.integers(0, n - 1))
+
+
+def _extendable_walks(rows, start, n):
+    """Length-n walks from start, on a raw table, that extend to an
+    infinite walk: a state has an infinite walk exactly when it has one
+    of len(rows) steps, which repeats a state."""
+    def walks(s, k):
+        if k == 0:
+            return 1
+        return sum(walks(t, k - 1) for t in rows[s] if t is not None)
+
+    if start is None:
+        return 0
+    ends = [start]
+    for _ in range(n):
+        ends = [t for s in ends for t in rows[s] if t is not None]
+    return sum(1 for s in ends if walks(s, len(rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_tables(), st.integers(0, 6))
+def test_stored_form_is_trimmed_breadth_first_and_keeps_the_language(table, n):
+    rows, start = table
+    a = Automaton(rows, start)
+    if a.start is None:
+        assert a.transitions == ()
+    else:
+        assert a.start == 0
+        order = [0]
+        for s in order:
+            for t in a.transitions[s]:
+                if t is not None and t not in order:
+                    order.append(t)
+        assert order == list(range(a.n_states))  # all reachable, BFS-numbered
+        assert all(any(t is not None for t in row) for row in a.transitions)
+    assert rebuilt(a) == a
+    assert count_words(a, n) == _extendable_walks(rows, start, n)
 
 
 def test_every_trimmed_state_has_an_outgoing_edge():

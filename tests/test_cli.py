@@ -72,6 +72,25 @@ def test_pi_rejects_a_value_that_overflows(capsys):
     assert "overflows" in err
 
 
+def test_check_general_rejects_a_slack_that_overflows(capsys):
+    code, out, err = run(capsys, "check", "m^w", "--q", "1.5", "--general",
+                         "--m", "1e308")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the slack overflows a float")
+    assert err.count("\n") == 1
+
+
+def test_check_rejects_deeply_nested_notation(capsys):
+    text = "(" * 2000 + "1" + ")" * 2000 + "^w"
+    code, out, err = run(capsys, "check", text, "--q", "2.4", "--ternary",
+                         "--m", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: groups nested deeper than")
+    assert err.count("\n") == 1
+
+
 def test_check_ternary_json_shape(capsys):
     code, out, _ = run(capsys, "check", "(m1)^w", "--ternary", "--m", "3",
                        "--q", "2.25")
@@ -165,6 +184,17 @@ def test_scan_curve_writes_files(tmp_path, capsys):
     text = out_path.read_text()
     assert text.startswith(CSV_HEADER)
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("target", ["missing/curves.csv", "."])
+def test_scan_curve_reports_an_unwritable_out(tmp_path, capsys, target):
+    code, out, err = run(capsys, "scan-curve", "--m-lo", "2", "--m-hi", "2.1",
+                         "--step", "0.05", "--out", str(tmp_path / target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_curve_domain_exit_code(capsys):
@@ -367,6 +397,22 @@ def test_selftest_rejects_a_non_finite_perturbation(capsys, value):
     assert code == 2
     assert out == ""
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("value", ["1e100", "1e154", "1e308", "-1.5"])
+def test_selftest_rejects_a_perturbation_above_one(capsys, value):
+    code, out, err = run(capsys, "selftest", f"--perturb-p={value}")
+    assert code == 2
+    assert out == ""
+    assert "must lie in [-1, 1]" in err
+    assert err.count("error:") == 1
+
+
+@pytest.mark.parametrize("value", ["1", "-1"])
+def test_selftest_runs_at_either_end_of_the_perturbation_range(capsys, value):
+    code, out, err = run(capsys, "selftest", f"--perturb-p={value}")
+    assert (code, err) == (1, "")
+    assert "FAIL sign_relations" in out
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from univoque.sequences import (
     MAX_EXPANDED_LENGTH,
+    MAX_GROUP_DEPTH,
     Alphabet,
     ApproxValue,
     EPSeq,
@@ -128,6 +129,16 @@ def test_expansion_cap_is_inclusive():
     assert len(w) == MAX_EXPANDED_LENGTH
     with pytest.raises(NotationError):
         parse_seq(f"m1^{MAX_EXPANDED_LENGTH}", T3)
+
+
+def test_group_depth_cap_is_inclusive():
+    deepest = "(" * MAX_GROUP_DEPTH + "m1" + ")" * MAX_GROUP_DEPTH + "^w"
+    assert parse_seq(deepest, T3) == parse_seq("(m1)^w", T3)
+    for depth in (MAX_GROUP_DEPTH + 1, 2000, 100_000):
+        with pytest.raises(NotationError) as exc:
+            parse_seq("(" * depth + "1" + ")" * depth + "^w", T3)
+        assert exc.value.offset == MAX_GROUP_DEPTH
+        assert str(MAX_GROUP_DEPTH) in str(exc.value)
 
 
 def test_format_round_trips_fixed_cases():
