@@ -10,6 +10,9 @@ The package has four layers:
   solved constants between them;
 * :mod:`univoque.automata` -- safety automata for block avoidance and
   their growth classification.
+
+The suites of ``univoque selftest`` live in :mod:`univoque.selftest`,
+which ``import univoque`` does not load.
 """
 
 from .automata import (
@@ -26,18 +29,12 @@ from .automata import (
 from .critical import (
     Branch,
     Constants,
-    CrossoverCheck,
     P,
     R,
-    SignCheck,
-    SignSuiteReport,
-    appendix_sign_suite,
     bisect_root,
     branch_for,
     branches,
     compute_constants,
-    default_m_grid,
-    locate_crossovers,
     p_of_m,
     r_of_m,
     solve_pi_root,
@@ -45,7 +42,6 @@ from .critical import (
 from .sequences import (
     EPS_CMP,
     Alphabet,
-    ApproxValue,
     EPSeq,
     NotationError,
     Word,
@@ -72,11 +68,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "ApproxValue",
     "Automaton",
     "Branch",
     "Constants",
-    "CrossoverCheck",
     "EPSeq",
     "EPS_CMP",
     "FamilySpec",
@@ -85,13 +79,10 @@ __all__ = [
     "NotationError",
     "P",
     "R",
-    "SignCheck",
-    "SignSuiteReport",
     "Verdict",
     "VerdictKind",
     "Witness",
     "Word",
-    "appendix_sign_suite",
     "bisect_root",
     "branch_for",
     "branches",
@@ -102,12 +93,10 @@ __all__ = [
     "classify_growth",
     "compute_constants",
     "count_words",
-    "default_m_grid",
     "export_dot",
     "format_seq",
     "growth_rate",
     "is_forbidden_block",
-    "locate_crossovers",
     "p_of_m",
     "parse_seq",
     "pi_complement",

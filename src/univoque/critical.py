@@ -153,7 +153,6 @@ class Constants:
     q_4: float
     kl_q_prime: float
     provenance: Mapping[str, str]
-    m_3_printed_match: str
 
 
 def _ternary_seq(notation: str, m: float) -> EPSeq:
@@ -185,14 +184,6 @@ def compute_constants() -> Constants:
     m_4 = (3.0 + math.sqrt(13.0)) / 2.0
     q_4 = (1.0 + math.sqrt(13.0)) / 2.0
 
-    printed = ("3.10204", "3.10214")
-    deltas = [abs(m_3 - float(p)) for p in printed]
-    best = min(range(len(printed)), key=deltas.__getitem__)
-    if deltas[best] <= 1.5e-5:
-        match = f"{printed[best]} (delta {deltas[best]:.2e})"
-    else:
-        match = f"neither printed value (computed {m_3:.7f})"
-
     consts = Constants(
         alpha=alpha, phi=phi, m_d=m_d, M_d=M_d, q_1=q_1, m_1=m_1,
         m_2=m_2, m_3=m_3, m_4=m_4, q_4=q_4, kl_q_prime=1.78723,
@@ -209,7 +200,6 @@ def compute_constants() -> Constants:
             "q_4": "(1 + sqrt 13)/2",
             "kl_q_prime": "display-only literal (two-digit alphabet threshold)",
         },
-        m_3_printed_match=match,
     )
     if not (1.0 < consts.alpha < consts.phi < 2.0):
         raise ArithmeticError("constant ordering violated (alpha, phi)")
@@ -307,175 +297,3 @@ def p_of_m(m: float) -> float | None:
         return max(from_pair_reflection, from_pair_plain)
     return None
 
-
-# --- sign-relation suite ----------------------------------------------------
-
-@dataclass(frozen=True)
-class SignCheck:
-    name: str
-    m: float
-    q: float | None
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class CrossoverCheck:
-    name: str
-    expected: float
-    located: float
-    passed: bool
-
-
-@dataclass
-class SignSuiteReport:
-    checks: list[SignCheck]
-    crossovers: list[CrossoverCheck]
-
-    @property
-    def failures(self) -> list[SignCheck]:
-        return [c for c in self.checks if not c.passed]
-
-    @property
-    def failed_crossovers(self) -> list[CrossoverCheck]:
-        return [c for c in self.crossovers if not c.passed]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures and not self.failed_crossovers
-
-
-def default_m_grid(points: int = 200) -> tuple[float, ...]:
-    return tuple(2.0 + 8.0 * i / (points - 1) for i in range(points))
-
-
-def _sign_ok(lhs: float, rhs: float, m: float, crossings: tuple[float, ...],
-             m_tol: float = 1e-6, zero_tol: float = 1e-9) -> bool:
-    if min(abs(lhs), abs(rhs)) <= zero_tol:
-        return True
-    if any(abs(m - c) <= m_tol for c in crossings):
-        return True
-    return (lhs > 0) == (rhs > 0)
-
-
-def appendix_sign_suite(m_grid=None, perturb_p: float = 0.0) -> SignSuiteReport:
-    """Check every documented sign relation between pi residuals and
-    their polynomial or threshold equivalents over an m-grid.
-
-    ``perturb_p`` offsets the P curve (a self-test hook: any nonzero
-    offset must break the P product identity and the crossovers).
-    """
-    c = compute_constants()
-    if m_grid is None:
-        m_grid = default_m_grid()
-    Pf = lambda m: P(m) + perturb_p
-
-    def q_spread(center: float) -> tuple[float, ...]:
-        qs = (1.3, 2.0, center - 0.08, center + 0.08, 3.5)
-        return tuple(q for q in qs if q > 1.01)
-
-    checks: list[SignCheck] = []
-
-    def add(name, m, q, lhs, rhs, crossings=()):
-        checks.append(SignCheck(name, m, q, lhs, rhs,
-                                _sign_ok(lhs, rhs, m, crossings)))
-
-    def add_identity(name, m, value, tol=1e-12):
-        checks.append(SignCheck(name, m, None, value, 0.0, abs(value) <= tol))
-
-    for m in m_grid:
-        ones = _ternary_seq("1^w", m)
-        single_tail = _ternary_seq("m1^w", m)
-        pair = _ternary_seq("(m1)^w", m)
-        alt = _ternary_seq("(1m)^w", m)
-        double_tail = _ternary_seq("mm1^w", m)
-        m_pair = _ternary_seq("m(m1)^w", m)
-        Pm, Rm = Pf(m), R(m)
-
-        add_identity("P_product_identity", m, (m - 1.0) * Pm * (Pm - 2.0) - 1.0)
-        add_identity("R_gap_identity", m, (m - 1.0) * (Rm - 2.0) - 1.0)
-
-        for q in q_spread(m):
-            add("all_ones_reflection", m, q,
-                pi_complement(ones, m, q) - 1.0, m - q)
-        add("all_ones_reflection_at_P", m, Pm,
-            pi_complement(ones, m, Pm) - 1.0, m - Pm, (1.0 + c.alpha,))
-
-        r0 = _closed_comp0(m)
-        for q in q_spread(r0):
-            add("single_one_tail_root", m, q,
-                pi_eval(single_tail, q) - (m - 1.0), r0 - q)
-        add("single_one_tail_at_R", m, Rm,
-            pi_eval(single_tail, Rm) - (m - 1.0), -1.0)
-        add("single_one_tail_at_P", m, Pm,
-            pi_eval(single_tail, Pm) - (m - 1.0), (1.0 + c.alpha) - m,
-            (1.0 + c.alpha,))
-
-        q97 = (m + math.sqrt(m * m + 4.0 * m * (m - 1.0))) / (2.0 * (m - 1.0))
-        for q in q_spread(q97):
-            add("pair_rational_numerator", m, q,
-                pi_eval(pair, q) - (m - 1.0),
-                (q + 1.0) - (m - 1.0) * (q * q - q - 1.0))
-        cubic = Pm**3 - 2.0 * Pm**2 - Pm + 1.0
-        add("pair_at_P", m, Pm,
-            pi_eval(pair, Pm) - (m - 1.0), cubic, (c.m_d,))
-        add("pair_cubic_vs_m_d", m, None, cubic, c.m_d - m, (c.m_d,))
-
-        quartic = -Pm**4 + 2.0 * Pm**3 + Pm**2 - 2.0 * Pm + 1.0
-        add("reflected_pair_at_P", m, Pm,
-            pi_complement(pair, m, Pm) - 1.0, quartic, (c.M_d,))
-        add("reflected_quartic_vs_M_d", m, None, quartic, m - c.M_d, (c.M_d,))
-
-        r912 = _closed_left(m)
-        for q in q_spread(r912):
-            add("alternating_reflection_root", m, q,
-                pi_complement(alt, m, q) - 1.0, r912 - q)
-        if c.m_d - 1e-12 <= m <= c.m_1 + 1e-12:
-            add("alternating_reflection_at_R", m, Rm,
-                pi_complement(alt, m, Rm) - 1.0, -1.0)
-        if m >= c.m_d - 1e-12:
-            add("alternating_reflection_at_P", m, Pm,
-                pi_complement(alt, m, Pm) - 1.0, 1.0, (c.m_d,))
-
-        for q in q_spread(2.4):
-            add("double_m_tail", m, q,
-                pi_eval(double_tail, q) - (m - 1.0),
-                1.0 - (m - 1.0) * (q - 2.0 + q ** -2))
-
-        if m > 2.0 + 1e-9:
-            add("m_pair_at_base_m_minus_1", m, m - 1.0,
-                pi_eval(m_pair, m - 1.0) - (m - 1.0), c.m_4 - m, (c.m_4,))
-        add("m_pair_at_R", m, Rm,
-            pi_eval(m_pair, Rm) - (m - 1.0), -1.0)
-        add("m_pair_at_P", m, Pm,
-            pi_eval(m_pair, Pm) - (m - 1.0), c.M_d - m, (c.M_d,))
-
-    crossovers = locate_crossovers(perturb_p)
-    return SignSuiteReport(checks, crossovers)
-
-
-def locate_crossovers(perturb_p: float = 0.0) -> list[CrossoverCheck]:
-    """Bisect each sign flip and compare with the solved constant."""
-    c = compute_constants()
-    Pf = lambda m: P(m) + perturb_p
-    entries = [
-        ("single_one_tail_at_P", 1.0 + c.alpha, 2.0, 3.0,
-         lambda m: pi_eval(_ternary_seq("m1^w", m), Pf(m)) - (m - 1.0)),
-        ("pair_cubic", c.m_d, 2.2, 3.5,
-         lambda m: Pf(m) ** 3 - 2.0 * Pf(m) ** 2 - Pf(m) + 1.0),
-        ("reflected_pair_quartic", c.M_d, 3.5, 5.5,
-         lambda m: -Pf(m) ** 4 + 2.0 * Pf(m) ** 3 + Pf(m) ** 2 - 2.0 * Pf(m) + 1.0),
-        ("m_pair_at_base_m_minus_1", c.m_4, 2.5, 4.2,
-         lambda m: pi_eval(_ternary_seq("m(m1)^w", m), m - 1.0) - (m - 1.0)),
-    ]
-    out = []
-    for name, expected, lo, hi, f in entries:
-        try:
-            located = bisect_root(f, lo, hi)
-            ok = abs(located - expected) <= 1e-6
-        except ValueError:
-            located = math.nan
-            ok = False
-        out.append(CrossoverCheck(name, expected, located, ok))
-    return out

@@ -41,22 +41,6 @@ class NotationError(ValueError):
 
 
 @dataclass(frozen=True)
-class ApproxValue:
-    """A float together with an absolute error bound.
-
-    Used to decide strict inequalities honestly: the sign is only
-    trusted when the value clears its own error bound.
-    """
-
-    value: float
-    err: float = EPS_CMP
-
-    @property
-    def boundary(self) -> bool:
-        return abs(self.value) <= self.err
-
-
-@dataclass(frozen=True)
 class Alphabet:
     """Finite, strictly increasing set of real digits.
 

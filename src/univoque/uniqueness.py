@@ -15,13 +15,13 @@ where only the two conditions at digit-1 positions matter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .sequences import (
     EPS_CMP,
     Alphabet,
-    ApproxValue,
     EPSeq,
     Word,
     _horner,
@@ -30,6 +30,11 @@ from .sequences import (
     require_zero_free,
     shift,
 )
+
+# Longest sequence (preperiod plus period) the two checkers take: they
+# evaluate one tail per symbol, so a verdict's time grows with the
+# square of the length (about 0.3 s here, hours at 10**6 symbols).
+MAX_VERDICT_SYMBOLS = 2048
 
 
 class VerdictKind(str, Enum):
@@ -62,6 +67,22 @@ class Verdict:
     witness: Witness | None
 
 
+def _witness(position: int, condition: str, slack: float, eps: float) -> Witness:
+    """Witness for one condition; ValueError if the slack is not finite."""
+    if not math.isfinite(slack):
+        raise ValueError(f"the slack overflows a float: {slack}")
+    return Witness(position, condition, slack, abs(slack) <= eps)
+
+
+def _require_verdict_length(seq: EPSeq) -> int:
+    """Number of symbols to check; ValueError above MAX_VERDICT_SYMBOLS."""
+    length = len(seq.preperiod) + len(seq.period)
+    if length > MAX_VERDICT_SYMBOLS:
+        raise ValueError(f"the sequence has {length} symbols; a verdict "
+                         f"takes at most {MAX_VERDICT_SYMBOLS}")
+    return length
+
+
 def _decide(worst: Witness | None, q: float, iff_threshold: float, eps: float) -> Verdict:
     if worst is None or worst.slack > eps:
         kind = VerdictKind.PROVEN_UNIQUE
@@ -81,7 +102,7 @@ def check_univoque_general(seq: EPSeq, q: float, eps: float = EPS_CMP) -> Verdic
 
     Works over any alphabet.  A failed condition at base q above the
     alphabet's necessity threshold only means the sufficient test was
-    inconclusive.
+    inconclusive.  Longer than MAX_VERDICT_SYMBOLS raises ValueError.
     """
     if not q > 1:
         raise ValueError(f"base must exceed 1, got {q}")
@@ -90,15 +111,15 @@ def check_univoque_general(seq: EPSeq, q: float, eps: float = EPS_CMP) -> Verdic
     lo_tail = digits[0] / (q - 1.0)
     hi_tail = digits[-1] / (q - 1.0)
     worst: Witness | None = None
-    for n in range(1, len(seq.preperiod) + len(seq.period) + 1):
+    for n in range(1, _require_verdict_length(seq) + 1):
         j = seq.symbol(n - 1)
         tail = pi_eval(shift(seq, n), q)
         if j < top:
-            slack = ApproxValue((digits[j + 1] - digits[j]) - (tail - lo_tail), eps)
-            worst = _worse(worst, Witness(n, "raise", slack.value, slack.boundary))
+            slack = (digits[j + 1] - digits[j]) - (tail - lo_tail)
+            worst = _worse(worst, _witness(n, "raise", slack, eps))
         if j > 0:
-            slack = ApproxValue((digits[j] - digits[j - 1]) - (hi_tail - tail), eps)
-            worst = _worse(worst, Witness(n, "lower", slack.value, slack.boundary))
+            slack = (digits[j] - digits[j - 1]) - (hi_tail - tail)
+            worst = _worse(worst, _witness(n, "lower", slack, eps))
     return _decide(worst, q, seq.alphabet.necessity_threshold, eps)
 
 
@@ -108,6 +129,7 @@ def check_v_membership(seq: EPSeq, m: float, q: float, eps: float = EPS_CMP) -> 
     Only positions carrying digit 1 constrain the verdict: the tail
     value must stay below m - 1 and its reflection below 1.  For
     q <= 1 + m/(m-1) a violated condition disproves uniqueness.
+    Longer than MAX_VERDICT_SYMBOLS raises ValueError.
     """
     if not m >= 2:
         raise ValueError(f"m must be at least 2, got {m}")
@@ -115,14 +137,14 @@ def check_v_membership(seq: EPSeq, m: float, q: float, eps: float = EPS_CMP) -> 
         raise ValueError(f"zero-free check needs q > 2, got {q}")
     require_zero_free(seq.alphabet, seq.preperiod + seq.period, m)
     worst: Witness | None = None
-    for n in range(1, len(seq.preperiod) + len(seq.period) + 1):
+    for n in range(1, _require_verdict_length(seq) + 1):
         if seq.digit(n - 1) != 1.0:
             continue
         tail = shift(seq, n)
-        up = ApproxValue((m - 1.0) - pi_eval(tail, q), eps)
-        worst = _worse(worst, Witness(n, "raise", up.value, up.boundary))
-        down = ApproxValue(1.0 - pi_complement(tail, m, q), eps)
-        worst = _worse(worst, Witness(n, "lower", down.value, down.boundary))
+        up = (m - 1.0) - pi_eval(tail, q)
+        worst = _worse(worst, _witness(n, "raise", up, eps))
+        down = 1.0 - pi_complement(tail, m, q)
+        worst = _worse(worst, _witness(n, "lower", down, eps))
     threshold = 1.0 + m / (m - 1.0)
     return _decide(worst, q, threshold, eps)
 

@@ -252,12 +252,27 @@ def test_growth_rate_lies_in_a_collatz_wielandt_enclosure(blocks):
 
 
 def test_import_loads_no_numpy():
+    # nor the self-test suites, which only the selftest subcommand loads
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import univoque; "
-            "print('numpy' in sys.modules)")
+            "print('numpy' in sys.modules, 'univoque.selftest' in sys.modules); "
+            "import univoque.cli; "
+            "univoque.cli.main(['pi', '1^w', '--q', '3', '--m', '3']); "
+            "print('univoque.selftest' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code, str(src)],
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    lines = out.splitlines()  # the pi value is printed between the two
+    assert lines[0] == "False False"
+    assert lines[-1] == "False"
+
+
+def test_every_public_name_resolves():
+    import univoque
+    missing = [name for name in univoque.__all__ if not hasattr(univoque, name)]
+    assert not missing
+    namespace = {}
+    exec("from univoque import *", namespace)
+    assert set(univoque.__all__) <= set(namespace)
 
 
 def test_empty_language_growth_rate_is_zero():

@@ -7,16 +7,19 @@ import time
 
 import pytest
 
+from test_automata import SEVEN_BLOCKS
+
 from univoque.cli import (
     CSV_HEADER,
     MAX_CURVE_ROWS,
-    SEVEN_BLOCKS,
     UnsupportedDomainError,
     _grid_size,
     curve_rows,
     main,
-    run_selftest,
 )
+from univoque.selftest import run_selftest
+from univoque.sequences import Alphabet, parse_seq
+from univoque.uniqueness import MAX_VERDICT_SYMBOLS
 
 
 def run(capsys, *argv):
@@ -79,6 +82,34 @@ def test_check_general_rejects_a_slack_that_overflows(capsys):
     assert out == ""
     assert err.startswith("error: the slack overflows a float")
     assert err.count("\n") == 1
+
+
+def _length(notation):
+    seq = parse_seq(notation, Alphabet.ternary(3))
+    return len(seq.preperiod) + len(seq.period)
+
+
+@pytest.mark.parametrize("mode", ["--ternary", "--general"])
+def test_check_rejects_a_sequence_above_the_verdict_cap_promptly(capsys, mode):
+    notation = "(1m)^1024(1)^w"
+    assert _length(notation) == MAX_VERDICT_SYMBOLS + 1
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "check", notation, "--q", "2.4", mode, "--m", "3")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("error:") == 1
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["--ternary", "--general"])
+def test_check_gives_a_verdict_at_the_verdict_cap(capsys, mode):
+    notation = "(1m)^1023(m1)^w"
+    assert _length(notation) == MAX_VERDICT_SYMBOLS
+    code, out, err = run(capsys, "check", notation, "--q", "2.4", mode, "--m", "3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] in ("ProvenUnique", "ProvenNotUnique",
+                                           "Inconclusive")
 
 
 def test_check_rejects_deeply_nested_notation(capsys):

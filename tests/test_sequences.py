@@ -11,7 +11,6 @@ from univoque.sequences import (
     MAX_EXPANDED_LENGTH,
     MAX_GROUP_DEPTH,
     Alphabet,
-    ApproxValue,
     EPSeq,
     NotationError,
     Word,
@@ -286,8 +285,3 @@ def test_shift_value_identity():
 def test_shift_rejects_negative():
     with pytest.raises(ValueError):
         shift(parse_seq("1^w", T3), -1)
-
-
-def test_approx_value_sign_and_boundary():
-    assert ApproxValue(1e-12).boundary
-    assert not ApproxValue(0.5).boundary

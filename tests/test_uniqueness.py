@@ -51,6 +51,18 @@ def test_top_digit_boundary_case_flagged():
     assert v.witness is not None
     assert v.witness.boundary
     assert v.witness.slack == pytest.approx(0.0, abs=1e-12)
+    # at q=3 both conditions hold with slack 0.5, well clear of the margin
+    v = check_univoque_general(parse_seq("1^w", B012), 3.0)
+    assert v.kind is VerdictKind.PROVEN_UNIQUE
+    assert v.witness.slack == pytest.approx(0.5, abs=1e-12)
+    assert not v.witness.boundary
+
+
+def test_general_check_rejects_a_slack_that_overflows():
+    # m/(q-1) overflows to inf, so the lower slack inf - inf is NaN
+    seq = parse_seq("m^w", Alphabet.ternary(1e308))
+    with pytest.raises(ValueError, match="the slack overflows a float"):
+        check_univoque_general(seq, 1.5)
 
 
 def test_alternating_binary_below_golden_ratio_not_unique():
