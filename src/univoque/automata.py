@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .sequences import Word
-
 ZERO_FREE_SYMBOLS = ("1", "m")
 
 # Largest branching component whose Perron root growth_rate computes.
@@ -31,12 +29,12 @@ MAX_PERRON_STATES = 128
 
 @dataclass(frozen=True)
 class Automaton:
-    """Deterministic partial automaton over a fixed symbol tuple.
+    """Deterministic partial automaton over the symbols '1' and 'm'.
 
     ``transitions[s][i]`` is the target of state ``s`` on symbol
-    ``symbols[i]``, or None where the symbol is not allowed.  ``start``
-    is None when the language is empty.  ``forbidden`` records the
-    blocks the automaton was built from (metadata only).
+    ``ZERO_FREE_SYMBOLS[i]``, or None where the symbol is not allowed.
+    ``start`` is None when the language is empty.  ``forbidden`` records
+    the blocks the automaton was built from (metadata only).
 
     The table given is validated and then stored in normal form (see
     :func:`_normal_form`); building it again from its stored table
@@ -46,14 +44,13 @@ class Automaton:
     transitions: tuple[tuple[int | None, ...], ...]
     start: int | None
     forbidden: tuple[str, ...] = ()
-    symbols: tuple[str, ...] = ZERO_FREE_SYMBOLS
 
     def __post_init__(self) -> None:
         n = len(self.transitions)
         if self.start is not None and not 0 <= self.start < n:
             raise ValueError(f"start state {self.start} out of range")
         for s, row in enumerate(self.transitions):
-            if len(row) != len(self.symbols):
+            if len(row) != len(ZERO_FREE_SYMBOLS):
                 raise ValueError(f"state {s}: row width != symbol count")
             for t in row:
                 if t is not None and not 0 <= t < n:
@@ -74,21 +71,19 @@ class Automaton:
                     yield s, i, t
 
 
-def _as_text(block: Word | str, symbols: tuple[str, ...]) -> str:
-    text = block.text() if isinstance(block, Word) else str(block)
-    if not text:
+def _as_text(block: str) -> str:
+    if not block:
         raise ValueError("forbidden block must be nonempty")
-    for ch in text:
-        if ch not in symbols:
-            raise ValueError(f"symbol {ch!r} not among {symbols}")
-    return text
+    for ch in block:
+        if ch not in ZERO_FREE_SYMBOLS:
+            raise ValueError(f"symbol {ch!r} not among {ZERO_FREE_SYMBOLS}")
+    return block
 
 
-def build_safety_automaton(blocks: Iterable[Word | str],
-                           symbols: tuple[str, ...] = ZERO_FREE_SYMBOLS,
-                           ) -> Automaton:
-    """Build the pruned factor automaton avoiding the given blocks."""
-    texts = sorted({_as_text(b, symbols) for b in blocks},
+def build_safety_automaton(blocks: Iterable[str]) -> Automaton:
+    """Build the pruned factor automaton avoiding the given blocks,
+    each a nonempty string over '1' and 'm'."""
+    texts = sorted({_as_text(b) for b in blocks},
                    key=lambda t: (len(t), t))
 
     children: list[dict[str, int]] = [{}]
@@ -120,11 +115,11 @@ def build_safety_automaton(blocks: Iterable[Word | str],
             terminal[v] = terminal[v] or terminal[fail[v]]
             queue.append(v)
 
-    delta = [[0] * len(symbols) for _ in children]
-    for i, ch in enumerate(symbols):
+    delta = [[0] * len(ZERO_FREE_SYMBOLS) for _ in children]
+    for i, ch in enumerate(ZERO_FREE_SYMBOLS):
         delta[0][i] = children[0].get(ch, 0)
     for u in order:
-        for i, ch in enumerate(symbols):
+        for i, ch in enumerate(ZERO_FREE_SYMBOLS):
             if ch in children[u]:
                 delta[u][i] = children[u][ch]
             else:
@@ -133,10 +128,10 @@ def build_safety_automaton(blocks: Iterable[Word | str],
     rows = []
     for u in range(len(children)):
         if terminal[u]:
-            rows.append(tuple(None for _ in symbols))
+            rows.append(tuple(None for _ in ZERO_FREE_SYMBOLS))
         else:
             rows.append(tuple(None if terminal[t] else t for t in delta[u]))
-    return Automaton(tuple(rows), 0, tuple(texts), symbols)
+    return Automaton(tuple(rows), 0, tuple(texts))
 
 
 def _normal_form(transitions: Sequence[Sequence[int | None]], start: int | None,
@@ -489,9 +484,10 @@ def _float_at(i: int) -> float:
     return struct.unpack("<d", struct.pack("<q", i))[0]
 
 
-def export_dot(a: Automaton, name: str = "safety") -> str:
-    """Graphviz source with a fixed ordering of nodes and edges."""
-    lines = [f"digraph {name} {{"]
+def export_dot(a: Automaton) -> str:
+    """Graphviz source of the graph ``safety``, with a fixed ordering of
+    nodes and edges."""
+    lines = ["digraph safety {"]
     if a.forbidden:
         lines.append(f"  // forbidden: {' '.join(a.forbidden)}")
     lines.append("  rankdir=LR;")
@@ -504,6 +500,6 @@ def export_dot(a: Automaton, name: str = "safety") -> str:
     for s in range(a.n_states):
         lines.append(f"  s{s};")
     for s, i, t in a.edges():
-        lines.append(f'  s{s} -> s{t} [label="{a.symbols[i]}"];')
+        lines.append(f'  s{s} -> s{t} [label="{ZERO_FREE_SYMBOLS[i]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -69,14 +69,14 @@ def _perturbation(text: str) -> float:
 
 
 def _alphabet_from_args(args) -> Alphabet:
-    if getattr(args, "digits", None) is not None:
-        if getattr(args, "m", None) is not None:
+    if args.digits is not None:
+        if args.m is not None:
             raise ValueError("give either --m or --digits, not both")
         parts = [p for p in args.digits.split(",") if p.strip()]
         if not parts:
             raise ValueError("--digits needs a comma-separated list")
         return Alphabet.from_digits(float(p) for p in parts)
-    if getattr(args, "m", None) is None:
+    if args.m is None:
         raise ValueError("specify --m (alphabet {0,1,m}) or --digits")
     return Alphabet.ternary(args.m)
 
@@ -108,6 +108,8 @@ def cmd_check(args) -> int:
     if args.general:
         alphabet = _alphabet_from_args(args)
     else:
+        if args.digits is not None:
+            raise ValueError("--ternary takes --m, not --digits")
         if args.m is None:
             raise ValueError("--ternary needs --m")
         alphabet = Alphabet.ternary(args.m)

@@ -110,25 +110,19 @@ def _residual_fn(seq: EPSeq, form: str, m: float) -> Callable[[float], float]:
     return residual
 
 
-def solve_pi_root(seq: EPSeq, form: str, m: float,
-                  bracket: tuple[float, float] | None = None,
-                  tol: float = 1e-12) -> float:
+def solve_pi_root(seq: EPSeq, form: str, m: float) -> float:
     """Bisection root of the signed residual for ``seq`` at parameter m.
 
     The residual must be strictly decreasing in q, which is checked from
-    the digits (see ``_residual_fn``), and must change sign over the
-    bracket, by default (2, R(m)).  The returned base q satisfies
-    |residual(q)| < 1e-10.
+    the digits (see ``_residual_fn``), and must change sign over
+    (2, R(m)).  The bracket is halved to width 1e-12, and the returned
+    base q satisfies |residual(q)| < 1e-10.
     """
     residual = _residual_fn(seq, form, m)
-    if bracket is None:
-        bracket = (2.0, R(m))
-    lo, hi = bracket
-    if not 1.0 < lo < hi:
-        raise ValueError(f"invalid bracket [{lo}, {hi}]")
+    lo, hi = 2.0, R(m)
     if not residual(lo) > 0 > residual(hi):
         raise ValueError(f"residual does not change sign over [{lo}, {hi}]")
-    root = _halve(residual, lo, hi, True, tol)
+    root = _halve(residual, lo, hi, True, 1e-12)
     res = residual(root)
     if abs(res) >= 1e-10:
         raise ValueError(f"residual {res} at root exceeds tolerance")
@@ -260,9 +254,9 @@ def branches() -> tuple[Branch, ...]:
     )
 
 
-def branch_for(m: float, tol: float = 1e-12) -> Branch | None:
+def branch_for(m: float) -> Branch | None:
     for b in branches():
-        if b.lo - tol <= m <= b.hi + tol:
+        if b.lo - 1e-12 <= m <= b.hi + 1e-12:
             return b
     return None
 

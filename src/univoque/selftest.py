@@ -40,8 +40,8 @@ SEVEN_STATE_TABLE = ((1, 0), (2, 3), (None, 4), (1, 5), (None, 5),
 
 # --- sign relations ---------------------------------------------------------
 
-def default_m_grid(points: int = 200) -> tuple[float, ...]:
-    return tuple(2.0 + 8.0 * i / (points - 1) for i in range(points))
+# 200 evenly spaced values of m over [2, 10]
+M_GRID = tuple(2.0 + 8.0 * i / 199 for i in range(200))
 
 
 def _pair_cubic(p: float) -> float:
@@ -63,13 +63,11 @@ def _sign_ok(lhs: float, rhs: float, m: float, crossings: tuple[float, ...],
     return (lhs > 0) == (rhs > 0)
 
 
-def appendix_sign_suite(m_grid=None, perturb_p: float = 0.0) -> list[tuple[str, bool]]:
+def appendix_sign_suite(perturb_p: float = 0.0) -> list[tuple[str, bool]]:
     """(name, passed) for every documented sign relation between pi
-    residuals and their polynomial or threshold equivalents over an
-    m-grid; ``perturb_p`` offsets the P curve (nonzero must fail)."""
+    residuals and their polynomial or threshold equivalents over
+    M_GRID; ``perturb_p`` offsets the P curve (nonzero must fail)."""
     c = compute_constants()
-    if m_grid is None:
-        m_grid = default_m_grid()
     Pf = lambda m: P(m) + perturb_p
 
     def q_spread(center: float) -> tuple[float, ...]:
@@ -84,7 +82,7 @@ def appendix_sign_suite(m_grid=None, perturb_p: float = 0.0) -> list[tuple[str, 
     def add_identity(name, value, tol=1e-12):
         checks.append((name, abs(value) <= tol))
 
-    for m in m_grid:
+    for m in M_GRID:
         ones = _ternary_seq("1^w", m)
         single_tail = _ternary_seq("m1^w", m)
         pair = _ternary_seq("(m1)^w", m)
@@ -229,7 +227,8 @@ def _suite_constants():
     return "constants", ok, detail
 
 
-def _suite_branch_residuals(points: int = 25):
+def _suite_branch_residuals():
+    points = 25
     worst = 0.0
     ok = True
     notes = []

@@ -83,10 +83,6 @@ class Alphabet:
         return cls(digits, tuple(_INDEX_CHARS[: len(digits)]))
 
     @property
-    def max_digit(self) -> float:
-        return self.digits[-1]
-
-    @property
     def necessity_threshold(self) -> float:
         """Base below which the uniqueness conditions are also necessary.
 

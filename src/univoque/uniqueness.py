@@ -36,6 +36,10 @@ from .sequences import (
 # square of the length (about 0.3 s here, hours at 10**6 symbols).
 MAX_VERDICT_SYMBOLS = 2048
 
+# Symbols of each extreme concatenation certify_family expands exactly;
+# the rest of the tail is bounded by a worst-case remainder.
+FAMILY_DEPTH = 64
+
 
 class VerdictKind(str, Enum):
     PROVEN_UNIQUE = "ProvenUnique"
@@ -67,11 +71,11 @@ class Verdict:
     witness: Witness | None
 
 
-def _witness(position: int, condition: str, slack: float, eps: float) -> Witness:
+def _witness(position: int, condition: str, slack: float) -> Witness:
     """Witness for one condition; ValueError if the slack is not finite."""
     if not math.isfinite(slack):
         raise ValueError(f"the slack overflows a float: {slack}")
-    return Witness(position, condition, slack, abs(slack) <= eps)
+    return Witness(position, condition, slack, abs(slack) <= EPS_CMP)
 
 
 def _require_verdict_length(seq: EPSeq) -> int:
@@ -83,10 +87,10 @@ def _require_verdict_length(seq: EPSeq) -> int:
     return length
 
 
-def _decide(worst: Witness | None, q: float, iff_threshold: float, eps: float) -> Verdict:
-    if worst is None or worst.slack > eps:
+def _decide(worst: Witness | None, q: float, iff_threshold: float) -> Verdict:
+    if worst is None or worst.slack > EPS_CMP:
         kind = VerdictKind.PROVEN_UNIQUE
-    elif q <= iff_threshold + eps:
+    elif q <= iff_threshold + EPS_CMP:
         kind = VerdictKind.PROVEN_NOT_UNIQUE
     else:
         kind = VerdictKind.INCONCLUSIVE
@@ -97,7 +101,7 @@ def _worse(a: Witness | None, b: Witness) -> Witness:
     return b if a is None or b.slack < a.slack else a
 
 
-def check_univoque_general(seq: EPSeq, q: float, eps: float = EPS_CMP) -> Verdict:
+def check_univoque_general(seq: EPSeq, q: float) -> Verdict:
     """Decide whether ``seq`` is the unique expansion of its value.
 
     Works over any alphabet.  A failed condition at base q above the
@@ -116,14 +120,14 @@ def check_univoque_general(seq: EPSeq, q: float, eps: float = EPS_CMP) -> Verdic
         tail = pi_eval(shift(seq, n), q)
         if j < top:
             slack = (digits[j + 1] - digits[j]) - (tail - lo_tail)
-            worst = _worse(worst, _witness(n, "raise", slack, eps))
+            worst = _worse(worst, _witness(n, "raise", slack))
         if j > 0:
             slack = (digits[j] - digits[j - 1]) - (hi_tail - tail)
-            worst = _worse(worst, _witness(n, "lower", slack, eps))
-    return _decide(worst, q, seq.alphabet.necessity_threshold, eps)
+            worst = _worse(worst, _witness(n, "lower", slack))
+    return _decide(worst, q, seq.alphabet.necessity_threshold)
 
 
-def check_v_membership(seq: EPSeq, m: float, q: float, eps: float = EPS_CMP) -> Verdict:
+def check_v_membership(seq: EPSeq, m: float, q: float) -> Verdict:
     """Zero-free uniqueness check over {1, m} for q > 2.
 
     Only positions carrying digit 1 constrain the verdict: the tail
@@ -142,11 +146,11 @@ def check_v_membership(seq: EPSeq, m: float, q: float, eps: float = EPS_CMP) -> 
             continue
         tail = shift(seq, n)
         up = (m - 1.0) - pi_eval(tail, q)
-        worst = _worse(worst, _witness(n, "raise", up, eps))
+        worst = _worse(worst, _witness(n, "raise", up))
         down = 1.0 - pi_complement(tail, m, q)
-        worst = _worse(worst, _witness(n, "lower", down, eps))
+        worst = _worse(worst, _witness(n, "lower", down))
     threshold = 1.0 + m / (m - 1.0)
-    return _decide(worst, q, threshold, eps)
+    return _decide(worst, q, threshold)
 
 
 # --- forbidden blocks -----------------------------------------------------
@@ -165,7 +169,7 @@ def _as_zero_free_word(w: Word | str, m: float) -> Word:
     return w
 
 
-def is_forbidden_block(w: Word | str, m: float, q: float, eps: float = EPS_CMP) -> bool:
+def is_forbidden_block(w: Word | str, m: float, q: float) -> bool:
     """True when the block 1w cannot occur in any zero-free unique sequence.
 
     Sound test: after the leading 1, every admissible tail starts with w,
@@ -185,10 +189,10 @@ def is_forbidden_block(w: Word | str, m: float, q: float, eps: float = EPS_CMP) 
     top = len(w.alphabet.digits) - 1
     lowest = pi_eval(EPSeq(w.alphabet, w.symbols, (one,)), q)
     highest = pi_eval(EPSeq(w.alphabet, w.symbols, (top,)), q)
-    return lowest >= m - 1.0 - eps or highest <= m / (q - 1.0) - 1.0 + eps
+    return lowest >= m - 1.0 - EPS_CMP or highest <= m / (q - 1.0) - 1.0 + EPS_CMP
 
 
-def scan_forbidden(m: float, q: float, lmax: int, eps: float = EPS_CMP) -> list[Word]:
+def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
     """All minimal forbidden blocks 1w with |1w| <= lmax.
 
     Minimal means no listed word contains another as a factor; the list
@@ -223,7 +227,7 @@ def scan_forbidden(m: float, q: float, lmax: int, eps: float = EPS_CMP) -> list[
                 word = (one,) + ext
                 if any(word[-len(k):] == k.symbols for k in kept):
                     continue
-                if is_forbidden_block(Word(alphabet, ext), m, q, eps):
+                if is_forbidden_block(Word(alphabet, ext), m, q):
                     kept.append(Word(alphabet, word))
                 else:
                     grown.append(ext)
@@ -288,13 +292,12 @@ def _greedy_prefix(suffix, blocks, depth: int, take_max: bool):
     return out
 
 
-def certify_family(family: FamilySpec, m: float, q: float,
-                   depth: int = 64, eps: float = EPS_CMP) -> bool:
+def certify_family(family: FamilySpec, m: float, q: float) -> bool:
     """Certify that every free concatenation of the blocks is unique.
 
     For each digit-1 position class inside the blocks, the supremum of
     the tail value over all continuations is bounded by the greedy
-    lexicographic maximum to ``depth`` symbols plus a worst-case
+    lexicographic maximum to ``FAMILY_DEPTH`` symbols plus a worst-case
     remainder, and must clear m - 1; symmetrically the reflected bound
     must clear 1 via the lexicographic minimum.  A False result means
     "not certified at this depth", never a disproof.
@@ -303,25 +306,23 @@ def certify_family(family: FamilySpec, m: float, q: float,
         raise ValueError(f"m must be at least 2, got {m}")
     if not q > 2:
         raise ValueError(f"certification needs q > 2, got {q}")
-    if depth < 1:
-        raise ValueError("depth must be positive")
     alphabet = family.alphabet
     for b in family.blocks:
         require_zero_free(alphabet, b.symbols, m)
     blocks = [b.symbols for b in family.blocks]
     digit = alphabet.digits
     one = digit.index(1.0)
-    remainder = m * q ** (-depth) / (q - 1.0)
+    remainder = m * q ** (-FAMILY_DEPTH) / (q - 1.0)
 
     suffixes = {b[j + 1:] for b in blocks for j in range(len(b)) if b[j] == one}
     for suffix in suffixes:
-        hi = _greedy_prefix(suffix, blocks, depth, take_max=True)
+        hi = _greedy_prefix(suffix, blocks, FAMILY_DEPTH, take_max=True)
         sup_tail = _horner(hi, digit, q) + remainder
-        if not sup_tail < m - 1.0 - eps:
+        if not sup_tail < m - 1.0 - EPS_CMP:
             return False
-        lo = _greedy_prefix(suffix, blocks, depth, take_max=False)
+        lo = _greedy_prefix(suffix, blocks, FAMILY_DEPTH, take_max=False)
         inf_tail = _horner(lo, digit, q)
-        if not m / (q - 1.0) - inf_tail < 1.0 - eps:
+        if not m / (q - 1.0) - inf_tail < 1.0 - EPS_CMP:
             return False
     return True
 

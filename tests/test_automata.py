@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from univoque.automata import (
     MAX_PERRON_STATES,
+    ZERO_FREE_SYMBOLS,
     Automaton,
     GrowthKind,
     _round_root,
@@ -311,7 +312,7 @@ def test_counts_are_exact_integers_at_width_64():
 
 def rebuilt(a):
     """The automaton constructed again from its stored table."""
-    return Automaton(a.transitions, a.start, a.forbidden, a.symbols)
+    return Automaton(a.transitions, a.start, a.forbidden)
 
 
 def test_trim_is_idempotent_and_build_output_is_trimmed():
@@ -403,7 +404,7 @@ def test_language_of_the_nine_state_automaton_avoids_the_blocks():
         for s, w in frontier:
             for i, t in enumerate(a.transitions[s]):
                 if t is not None:
-                    nxt.append((t, w + a.symbols[i]))
+                    nxt.append((t, w + ZERO_FREE_SYMBOLS[i]))
         frontier = nxt
     words = [w for _, w in frontier]
     assert len(words) == count_words(a, 10)

@@ -159,6 +159,14 @@ def test_check_needs_an_infinite_sequence(capsys):
     assert "infinite" in err
 
 
+def test_check_ternary_rejects_digits(capsys):
+    code, out, err = run(capsys, "check", "(1m)^w", "--q", "2.4", "--ternary",
+                         "--m", "3", "--digits", "0,1,3")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: --ternary takes --m, not --digits"]
+
+
 @pytest.mark.parametrize("argv", [
     ("(m1)^w", "--q", "2.4", "--ternary", "--m", "inf"),
     ("1^w", "--q", "3", "--general", "--digits", "0,1e999"),

@@ -20,7 +20,7 @@ from univoque.critical import (
     r_of_m,
     solve_pi_root,
 )
-from univoque.selftest import appendix_sign_suite, default_m_grid, locate_crossovers
+from univoque.selftest import M_GRID, appendix_sign_suite, locate_crossovers
 from univoque.sequences import (
     Alphabet,
     EPSeq,
@@ -52,7 +52,7 @@ REF = {
 
 
 def test_bracket_curves_and_identities():
-    for m in default_m_grid(64):
+    for m in M_GRID:
         assert (m - 1) * P(m) * (P(m) - 2) == pytest.approx(1.0, abs=1e-12)
         assert (m - 1) * (R(m) - 2) == pytest.approx(1.0, abs=1e-12)
         assert 2 < P(m) < R(m)
@@ -221,7 +221,7 @@ def test_pi_eval_and_residuals_are_bit_identical(alphabet, data, qs):
     per = data.draw(st.lists(symbols, min_size=1, max_size=6))
     seq = EPSeq(alphabet, tuple(pre), tuple(per))
     used = {alphabet.digits[s] for s in pre + per}
-    m = alphabet.max_digit
+    m = alphabet.digits[-1]
     cases = (
         (PLAIN, min(used) >= 0 and max(used) > 0,
          lambda q: pi_eval(seq, q) - (m - 1.0)),
@@ -301,12 +301,8 @@ def test_solver_error_paths():
                       PLAIN, 3.0)
     with pytest.raises(ValueError, match="not strictly decreasing"):
         solve_pi_root(parse_seq("0^w", t3), PLAIN, 3.0)
-    with pytest.raises(ValueError):
-        solve_pi_root(parse_seq("m1^w", t3), PLAIN, 3.0, bracket=(1.0, 2.9))
-    with pytest.raises(ValueError):
-        solve_pi_root(parse_seq("m1^w", t3), PLAIN, 3.0, bracket=(2.6, 2.9))
-    with pytest.raises(ValueError):
-        solve_pi_root(parse_seq("m1^w", t3), PLAIN, 3.0, bracket=(2.5, 2.1))
+    with pytest.raises(ValueError, match="does not change sign"):
+        solve_pi_root(parse_seq("1^w", t3), PLAIN, 3.0)
     with pytest.raises(ValueError):
         solve_pi_root(parse_seq("m^w", t3), COMPLEMENT, 3.0)
     with pytest.raises(ValueError):
@@ -339,7 +335,7 @@ def test_sign_suite_crossovers_locate_the_constants():
 
 
 def test_perturbing_p_breaks_the_suite():
-    checks = appendix_sign_suite(m_grid=default_m_grid(40), perturb_p=1e-3)
+    checks = appendix_sign_suite(perturb_p=1e-3)
     failing = {name for name, ok in checks if not ok}
     assert "P_product_identity" in failing
     assert not all(ok for _, _, ok in locate_crossovers(perturb_p=1e-3))

@@ -34,7 +34,7 @@ def test_ternary_alphabet_properties():
 def test_general_alphabet_uses_index_characters():
     a = Alphabet.from_digits([0, 1, 2.5, 7])
     assert a.chars == ("0", "1", "2", "3")
-    assert a.max_digit == 7.0
+    assert a.digits[-1] == 7.0
 
 
 @pytest.mark.parametrize("digits", [[1], [0, 0], [2, 1], [],

@@ -383,5 +383,3 @@ def test_certify_family_validates_inputs():
         certify_family(fam, 3.0, 1.9)
     with pytest.raises(ValueError):
         certify_family(fam, 4.0, 2.5)
-    with pytest.raises(ValueError):
-        certify_family(fam, 3.0, 2.5, depth=0)
