@@ -53,7 +53,6 @@ from .sequences import (
     shift,
 )
 from .uniqueness import (
-    FamilySpec,
     Verdict,
     VerdictKind,
     Witness,
@@ -73,7 +72,6 @@ __all__ = [
     "Constants",
     "EPSeq",
     "EPS_CMP",
-    "FamilySpec",
     "GrowthClass",
     "GrowthKind",
     "NotationError",

@@ -100,37 +100,26 @@ def build_safety_automaton(blocks: Iterable[str]) -> Automaton:
             cur = nxt
         terminal[cur] = True
 
+    # one breadth-first pass: a node's fail link and transition row only
+    # read rows of shallower nodes, which the queue has already finished
     fail = [0] * len(children)
-    order: list[int] = []
-    queue = deque(children[0].values())
+    delta: list[list[int]] = [[] for _ in children]
+    queue = deque([0])
     while queue:
         u = queue.popleft()
-        order.append(u)
-        for ch, v in children[u].items():
-            f = fail[u]
-            while f and ch not in children[f]:
-                f = fail[f]
-            fv = children[f].get(ch, 0)
-            fail[v] = fv if fv != v else 0
-            terminal[v] = terminal[v] or terminal[fail[v]]
-            queue.append(v)
-
-    delta = [[0] * len(ZERO_FREE_SYMBOLS) for _ in children]
-    for i, ch in enumerate(ZERO_FREE_SYMBOLS):
-        delta[0][i] = children[0].get(ch, 0)
-    for u in order:
         for i, ch in enumerate(ZERO_FREE_SYMBOLS):
-            if ch in children[u]:
-                delta[u][i] = children[u][ch]
+            back = delta[fail[u]][i] if u else 0
+            v = children[u].get(ch)
+            if v is None:
+                delta[u].append(back)
             else:
-                delta[u][i] = delta[fail[u]][i]
+                fail[v] = back
+                terminal[v] = terminal[v] or terminal[back]
+                delta[u].append(v)
+                queue.append(v)
 
-    rows = []
-    for u in range(len(children)):
-        if terminal[u]:
-            rows.append(tuple(None for _ in ZERO_FREE_SYMBOLS))
-        else:
-            rows.append(tuple(None if terminal[t] else t for t in delta[u]))
+    rows = [tuple(None if terminal[u] or terminal[t] else t for t in row)
+            for u, row in enumerate(delta)]
     return Automaton(tuple(rows), 0, tuple(texts))
 
 

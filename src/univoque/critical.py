@@ -11,7 +11,8 @@ countable-to-uncountable threshold r(m).  Both are computed here on the
 parameter windows where a defining eventually periodic sequence is
 known; outside those windows the functions return None (unsupported).
 
-All roots are found by bisection on signed residuals of the form
+p(m), and r(m) on Comp0_full and Comp10_left, have closed forms.  On
+Comp10_mid and Comp10_right r(m) is bisected on a signed residual,
 pi_q(seq) - (m - 1) (plain) or reflected pi_q - 1 (complement).  Both
 are series with nonnegative terms, hence strictly decreasing in q > 1;
 the solver checks this once from the digits of the sequence.

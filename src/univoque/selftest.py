@@ -25,7 +25,7 @@ from .critical import (
     solve_pi_root,
 )
 from .sequences import Alphabet, parse_seq, pi_complement, pi_eval
-from .uniqueness import FamilySpec, certify_family, scan_forbidden
+from .uniqueness import certify_family, scan_forbidden
 
 SEVEN_BLOCKS = ("111", "1mmm", "11m11", "11m1m1",
                 "1mm1mm", "11m1mm1", "1mm1m1m")
@@ -296,9 +296,8 @@ def _suite_families():
     ok = True
     notes = []
     for texts, m, q in _FAMILIES:
-        fam = FamilySpec.from_texts(texts, m)
-        good = certify_family(fam, m, q)
-        below = certify_family(fam, m, r_of_m(m) - 0.01)
+        good = certify_family(texts, m, q)
+        below = certify_family(texts, m, r_of_m(m) - 0.01)
         if not good or below:
             ok = False
         notes.append(f"{'+'.join(texts)}@q={q}: {good}/{below}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 # Margin used when a strict inequality has to be decided in floating
 # point.  Values closer than this to a threshold are boundary cases.
@@ -68,6 +69,7 @@ class Alphabet:
                 raise ValueError(f"invalid digit character {c!r}")
 
     @classmethod
+    @lru_cache(maxsize=8)  # a block scan asks for one per tested word
     def ternary(cls, m: float) -> Alphabet:
         """The alphabet {0, 1, m} with m >= 2, written '0', '1', 'm'."""
         if not m >= 2:

@@ -25,7 +25,6 @@ from .sequences import (
     EPSeq,
     Word,
     _horner,
-    pi_complement,
     pi_eval,
     require_zero_free,
     shift,
@@ -78,15 +77,6 @@ def _witness(position: int, condition: str, slack: float) -> Witness:
     return Witness(position, condition, slack, abs(slack) <= EPS_CMP)
 
 
-def _require_verdict_length(seq: EPSeq) -> int:
-    """Number of symbols to check; ValueError above MAX_VERDICT_SYMBOLS."""
-    length = len(seq.preperiod) + len(seq.period)
-    if length > MAX_VERDICT_SYMBOLS:
-        raise ValueError(f"the sequence has {length} symbols; a verdict "
-                         f"takes at most {MAX_VERDICT_SYMBOLS}")
-    return length
-
-
 def _decide(worst: Witness | None, q: float, iff_threshold: float) -> Verdict:
     if worst is None or worst.slack > EPS_CMP:
         kind = VerdictKind.PROVEN_UNIQUE
@@ -97,8 +87,32 @@ def _decide(worst: Witness | None, q: float, iff_threshold: float) -> Verdict:
     return Verdict(kind, worst)
 
 
-def _worse(a: Witness | None, b: Witness) -> Witness:
-    return b if a is None or b.slack < a.slack else a
+def _worst_witness(seq: EPSeq, q: float, only: int | None = None) -> Witness | None:
+    """Worst-slack condition over the positions of ``seq``, or only over
+    those carrying symbol ``only``; the first one on a tie, and None
+    when no condition applies.  Longer than MAX_VERDICT_SYMBOLS raises
+    ValueError."""
+    length = len(seq.preperiod) + len(seq.period)
+    if length > MAX_VERDICT_SYMBOLS:
+        raise ValueError(f"the sequence has {length} symbols; a verdict "
+                         f"takes at most {MAX_VERDICT_SYMBOLS}")
+    digits = seq.alphabet.digits
+    top = len(digits) - 1
+    lo_tail = digits[0] / (q - 1.0)
+    hi_tail = digits[-1] / (q - 1.0)
+    found = []
+    for n in range(1, length + 1):
+        j = seq.symbol(n - 1)
+        if only is not None and j != only:
+            continue
+        tail = pi_eval(shift(seq, n), q)
+        if j < top:
+            slack = (digits[j + 1] - digits[j]) - (tail - lo_tail)
+            found.append(_witness(n, "raise", slack))
+        if j > 0:
+            slack = (digits[j] - digits[j - 1]) - (hi_tail - tail)
+            found.append(_witness(n, "lower", slack))
+    return min(found, key=lambda w: w.slack, default=None)
 
 
 def check_univoque_general(seq: EPSeq, q: float) -> Verdict:
@@ -110,21 +124,7 @@ def check_univoque_general(seq: EPSeq, q: float) -> Verdict:
     """
     if not q > 1:
         raise ValueError(f"base must exceed 1, got {q}")
-    digits = seq.alphabet.digits
-    top = len(digits) - 1
-    lo_tail = digits[0] / (q - 1.0)
-    hi_tail = digits[-1] / (q - 1.0)
-    worst: Witness | None = None
-    for n in range(1, _require_verdict_length(seq) + 1):
-        j = seq.symbol(n - 1)
-        tail = pi_eval(shift(seq, n), q)
-        if j < top:
-            slack = (digits[j + 1] - digits[j]) - (tail - lo_tail)
-            worst = _worse(worst, _witness(n, "raise", slack))
-        if j > 0:
-            slack = (digits[j] - digits[j - 1]) - (hi_tail - tail)
-            worst = _worse(worst, _witness(n, "lower", slack))
-    return _decide(worst, q, seq.alphabet.necessity_threshold)
+    return _decide(_worst_witness(seq, q), q, seq.alphabet.necessity_threshold)
 
 
 def check_v_membership(seq: EPSeq, m: float, q: float) -> Verdict:
@@ -132,63 +132,62 @@ def check_v_membership(seq: EPSeq, m: float, q: float) -> Verdict:
 
     Only positions carrying digit 1 constrain the verdict: the tail
     value must stay below m - 1 and its reflection below 1.  For
-    q <= 1 + m/(m-1) a violated condition disproves uniqueness.
-    Longer than MAX_VERDICT_SYMBOLS raises ValueError.
+    q <= 1 + m/(m-1) a violated condition disproves uniqueness.  The
+    alphabet must be {0, 1, m}; longer than MAX_VERDICT_SYMBOLS raises
+    ValueError.
     """
     if not m >= 2:
         raise ValueError(f"m must be at least 2, got {m}")
     if not q > 2:
         raise ValueError(f"zero-free check needs q > 2, got {q}")
-    require_zero_free(seq.alphabet, seq.preperiod + seq.period, m)
-    worst: Witness | None = None
-    for n in range(1, _require_verdict_length(seq) + 1):
-        if seq.digit(n - 1) != 1.0:
-            continue
-        tail = shift(seq, n)
-        up = (m - 1.0) - pi_eval(tail, q)
-        worst = _worse(worst, _witness(n, "raise", up))
-        down = 1.0 - pi_complement(tail, m, q)
-        worst = _worse(worst, _witness(n, "lower", down))
-    threshold = 1.0 + m / (m - 1.0)
-    return _decide(worst, q, threshold)
+    alphabet = seq.alphabet
+    require_zero_free(alphabet, seq.preperiod + seq.period, m)
+    if alphabet.digits[:-1] != (0.0, 1.0):
+        raise ValueError("zero-free check needs the alphabet {0, 1, m}, "
+                         f"got digits {alphabet.digits}")
+    # symbol 1 of {0, 1, m} is the digit 1
+    return _decide(_worst_witness(seq, q, only=1), q, alphabet.necessity_threshold)
 
 
 # --- forbidden blocks -----------------------------------------------------
 
-def _as_zero_free_word(w: Word | str, m: float) -> Word:
-    if isinstance(w, str):
-        alphabet = Alphabet.ternary(m)
-        syms = []
-        for i, c in enumerate(w):
-            s = alphabet.index_of_char(c)
-            if s is None:
-                raise ValueError(f"unknown digit character {c!r} at offset {i}")
-            syms.append(s)
-        w = Word(alphabet, tuple(syms))
-    require_zero_free(w.alphabet, w.symbols, m)
-    return w
+def _block_symbols(block: str, alphabet: Alphabet) -> tuple[int, ...]:
+    """Symbols of a block string over '1' and 'm' in the ternary
+    ``alphabet``; ValueError for any other character."""
+    syms = []
+    for i, c in enumerate(block):
+        s = alphabet.index_of_char(c)
+        if s is None:
+            raise ValueError(f"unknown digit character {c!r} at offset {i}")
+        syms.append(s)
+    require_zero_free(alphabet, syms, alphabet.digits[-1])
+    return tuple(syms)
 
 
-def is_forbidden_block(w: Word | str, m: float, q: float) -> bool:
+def is_forbidden_block(w: str, m: float, q: float) -> bool:
     """True when the block 1w cannot occur in any zero-free unique sequence.
 
-    Sound test: after the leading 1, every admissible tail starts with w,
-    so if even the smallest completion w 1^inf reaches m - 1, or even the
-    largest completion w m^inf stays within m/(q-1) - 1, one of the two
-    digit-1 conditions fails.  Valid for 2 < q <= 1 + m/(m-1).
+    ``w`` is a nonempty string over '1' and 'm'.  After the leading 1,
+    every admissible tail starts with w, so if even the smallest
+    completion w 1^inf reaches m - 1, or even the largest completion
+    w m^inf stays within m/(q-1) - 1, one of the two digit-1 conditions
+    fails.  Valid for 2 < q <= 1 + m/(m-1).  The comparisons are
+    lenient: a bound within ``EPS_CMP`` of its threshold counts as
+    reaching it, so a block that only touches a threshold is declared
+    forbidden.
     """
     if not m >= 2:
         raise ValueError(f"m must be at least 2, got {m}")
     r_cap = 1.0 + m / (m - 1.0)
     if not 2 < q <= r_cap + EPS_CMP:
         raise ValueError(f"q={q} outside (2, {r_cap}]")
-    w = _as_zero_free_word(w, m)
-    if not w.symbols:
+    alphabet = Alphabet.ternary(m)
+    symbols = _block_symbols(w, alphabet)
+    if not symbols:
         raise ValueError("w must be nonempty")
-    one = w.alphabet.digits.index(1.0)
-    top = len(w.alphabet.digits) - 1
-    lowest = pi_eval(EPSeq(w.alphabet, w.symbols, (one,)), q)
-    highest = pi_eval(EPSeq(w.alphabet, w.symbols, (top,)), q)
+    # the completions w 1^inf and w m^inf
+    lowest = pi_eval(EPSeq(alphabet, symbols, (1,)), q)
+    highest = pi_eval(EPSeq(alphabet, symbols, (2,)), q)
     return lowest >= m - 1.0 - EPS_CMP or highest <= m / (q - 1.0) - 1.0 + EPS_CMP
 
 
@@ -214,58 +213,26 @@ def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
     """
     if not 1 <= lmax <= 16:
         raise ValueError("lmax must be between 1 and 16")
-    alphabet = Alphabet.ternary(m)
-    one = alphabet.digits.index(1.0)
-    top = len(alphabet.digits) - 1
-    kept: list[Word] = []
-    frontier: list[tuple[int, ...]] = [()]
+    kept: list[str] = []
+    frontier = [""]
     for _ in range(2, lmax + 1):
         grown = []
         for tail in frontier:
-            for s in (one, top):
-                ext = tail + (s,)
-                word = (one,) + ext
-                if any(word[-len(k):] == k.symbols for k in kept):
+            for c in "1m":
+                ext = tail + c
+                word = "1" + ext
+                if any(word.endswith(k) for k in kept):
                     continue
-                if is_forbidden_block(Word(alphabet, ext), m, q):
-                    kept.append(Word(alphabet, word))
+                if is_forbidden_block(ext, m, q):
+                    kept.append(word)
                 else:
                     grown.append(ext)
         frontier = grown
-    return kept
+    alphabet = Alphabet.ternary(m)
+    return [Word(alphabet, _block_symbols(k, alphabet)) for k in kept]
 
 
 # --- family certification -------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A set of zero-free blocks whose free concatenations are examined.
-
-    With at least two distinct blocks, a certified family witnesses
-    uncountably many unique sequences (every infinite choice of blocks
-    yields a distinct member).
-    """
-
-    blocks: tuple[Word, ...]
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("family needs at least one block")
-        alphabet = self.blocks[0].alphabet
-        for b in self.blocks:
-            if b.alphabet != alphabet:
-                raise ValueError("blocks must share an alphabet")
-            if not b.symbols:
-                raise ValueError("blocks must be nonempty")
-
-    @classmethod
-    def from_texts(cls, texts, m: float) -> FamilySpec:
-        return cls(tuple(_as_zero_free_word(t, m) for t in texts))
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.blocks[0].alphabet
-
 
 def _greedy_prefix(suffix, blocks, depth: int, take_max: bool):
     """Lexicographically extreme length-``depth`` prefix of suffix.blocks^inf.
@@ -292,8 +259,13 @@ def _greedy_prefix(suffix, blocks, depth: int, take_max: bool):
     return out
 
 
-def certify_family(family: FamilySpec, m: float, q: float) -> bool:
-    """Certify that every free concatenation of the blocks is unique.
+def certify_family(blocks, m: float, q: float) -> bool:
+    """Certify that every free concatenation of ``blocks`` is unique.
+
+    ``blocks`` are nonempty strings over '1' and 'm'.  With at least two
+    distinct blocks, a certified family witnesses uncountably many
+    unique sequences (every infinite choice of blocks yields a distinct
+    member).
 
     For each digit-1 position class inside the blocks, the supremum of
     the tail value over all continuations is bounded by the greedy
@@ -306,23 +278,24 @@ def certify_family(family: FamilySpec, m: float, q: float) -> bool:
         raise ValueError(f"m must be at least 2, got {m}")
     if not q > 2:
         raise ValueError(f"certification needs q > 2, got {q}")
-    alphabet = family.alphabet
-    for b in family.blocks:
-        require_zero_free(alphabet, b.symbols, m)
-    blocks = [b.symbols for b in family.blocks]
+    alphabet = Alphabet.ternary(m)
+    words = [_block_symbols(b, alphabet) for b in blocks]
+    if not words:
+        raise ValueError("family needs at least one block")
+    if not all(words):
+        raise ValueError("blocks must be nonempty")
     digit = alphabet.digits
-    one = digit.index(1.0)
     remainder = m * q ** (-FAMILY_DEPTH) / (q - 1.0)
 
-    suffixes = {b[j + 1:] for b in blocks for j in range(len(b)) if b[j] == one}
+    # symbol 1 of {0, 1, m} is the digit 1
+    suffixes = {b[j + 1:] for b in words for j in range(len(b)) if b[j] == 1}
     for suffix in suffixes:
-        hi = _greedy_prefix(suffix, blocks, FAMILY_DEPTH, take_max=True)
+        hi = _greedy_prefix(suffix, words, FAMILY_DEPTH, take_max=True)
         sup_tail = _horner(hi, digit, q) + remainder
         if not sup_tail < m - 1.0 - EPS_CMP:
             return False
-        lo = _greedy_prefix(suffix, blocks, FAMILY_DEPTH, take_max=False)
+        lo = _greedy_prefix(suffix, words, FAMILY_DEPTH, take_max=False)
         inf_tail = _horner(lo, digit, q)
         if not m / (q - 1.0) - inf_tail < 1.0 - EPS_CMP:
             return False
     return True
-

@@ -38,7 +38,6 @@ from univoque.critical import (
 from univoque.selftest import appendix_sign_suite, locate_crossovers
 from univoque.sequences import Alphabet, parse_seq, pi_complement, pi_eval
 from univoque.uniqueness import (
-    FamilySpec,
     VerdictKind,
     certify_family,
     check_univoque_general,
@@ -149,9 +148,8 @@ def test_criterion_6_family_certificates():
     ok = True
     parts = []
     for texts, m, q in CERTIFIED:
-        fam = FamilySpec.from_texts(texts, m)
-        at_q = certify_family(fam, m, q)
-        below = certify_family(fam, m, r_of_m(m) - 0.01)
+        at_q = certify_family(texts, m, q)
+        below = certify_family(texts, m, r_of_m(m) - 0.01)
         ok = ok and at_q and not below
         parts.append(f"m={m}: {at_q}/{below}")
     _report(6, ok, "certified at stated q / spuriously below threshold: "

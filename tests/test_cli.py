@@ -281,10 +281,12 @@ def test_grid_size_cap_is_exact():
 
 
 # sha256 of stdout, pinned so that solver and parser changes keep the
-# CSV and the selftest report byte for byte.  The two classifications
-# carry correctly rounded growth rates, 1.8392867552141612 (the
-# tribonacci root) and 1.7346913456924695.  The DOT entry is the
-# seven-state automaton of the blocks scanned at r(3) plus the eighth.
+# CSV, the selftest report and the check JSON byte for byte.  The
+# classifications carry correctly rounded growth rates,
+# 1.8392867552141612 (the tribonacci root) and 1.7346913456924695; the
+# scan at q = 2.5, above r(3), runs the frontier to full depth and
+# keeps only 111.  The DOT entry is the seven-state automaton of the
+# blocks scanned at r(3) plus the eighth.
 GOLDEN_STDOUT = {
     ("scan-curve", "--m-lo", "2", "--m-hi", "5", "--step", "0.01"):
         "b85569145c6885e3d71b4083c5ef33477ec3c0af67eaa4be60d34dc235aedd71",
@@ -297,11 +299,26 @@ GOLDEN_STDOUT = {
     ("automaton", "--scan", "3", "2.37019910851", "7", "--blocks", "1mm1m11mm1",
      "--dot"):
         "9b403e31670d585263f515d1c9bb59a4cec4408c288aec3a5c8cadc2fd299122",
+    ("automaton", "--scan", "3", "2.5", "16", "--classify"):
+        "6977ca1605a21f93b581fca9b5cdbc25e8120a526c40b8a64f888b7b32cac7cd",
+    ("check", "mm1(m11m)^w", "--q", "2.37", "--ternary", "--m", "3"):
+        "7b77a821eb74f3383d0b98669b65b66615a84e6f3fab71f708270c0c2e717f3b",
+    ("check", "11(m1)^w", "--q", "2.3", "--general", "--m", "3"):
+        "e2c80be56207c5ef3974002eab2c69ee1f9cf1bf04a7584469423d7136a9a9e1",
+    ("check", "1(10)^w", "--q", "1.8", "--general", "--digits", "0,1"):
+        "a56c29dac81f11caa6312930723d5cc59acf572c5fad28be51ef5f659e32815b",
 }
 
 
 def _golden_id(argv):
-    return f"automaton-{argv[2]}" if argv[0] == "automaton" else argv[0]
+    if argv[0] == "check":
+        return f"check-{argv[1]}-{argv[4][2:]}"
+    if argv[0] == "automaton":
+        # the scan pinned with --dot keeps its older, shorter id
+        if argv[1] == "--scan" and "--dot" not in argv:
+            return f"automaton-{argv[2]}-{argv[3]}"
+        return f"automaton-{argv[2]}"
+    return argv[0]
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=_golden_id)

@@ -10,7 +10,6 @@ from univoque import uniqueness
 from univoque.critical import COMPLEMENT, R, bisect_root, r_of_m, solve_pi_root
 from univoque.sequences import Alphabet, EPSeq, Word, parse_seq, pi_complement
 from univoque.uniqueness import (
-    FamilySpec,
     VerdictKind,
     certify_family,
     check_univoque_general,
@@ -159,15 +158,18 @@ A0123 = Alphabet.from_digits([0, 1, 2, 3])
 
 
 def _zero_free_entry_points(seq, m):
-    """Every caller of the zero-free check, applied to one sequence."""
-    word = Word(seq.alphabet, seq.preperiod + seq.period)
-    return [
+    """Every caller of the zero-free check, applied to one sequence:
+    its symbols as a block string where the caller takes blocks."""
+    entry = [
         lambda: pi_complement(seq, m, 2.3),
         lambda: solve_pi_root(seq, COMPLEMENT, m),
         lambda: check_v_membership(seq, m, 2.3),
-        lambda: is_forbidden_block(word, m, 2.3),
-        lambda: certify_family(FamilySpec((word,)), m, 2.3),
     ]
+    if seq.alphabet == Alphabet.ternary(m):
+        block = Word(seq.alphabet, seq.preperiod + seq.period).text()
+        entry += [lambda: is_forbidden_block(block, m, 2.3),
+                  lambda: certify_family([block], m, 2.3)]
+    return entry
 
 
 @pytest.mark.parametrize("text,alphabet,m,message", [
@@ -187,9 +189,20 @@ def test_zero_free_check_covers_every_digit_and_the_top_digit():
     for text in ("2(13)^w", "2^w", "23^w"):
         with pytest.raises(ValueError, match="zero-free"):
             check_v_membership(parse_seq(text, A0123), 3.0, 2.3)
-    # a word of ones is refused when m is not its alphabet's top digit
+    # a sequence of ones is refused when m is not its alphabet's top digit
     with pytest.raises(ValueError, match="top digit"):
-        is_forbidden_block(Word(T3, (1, 1)), 4.0, 2.3)
+        check_v_membership(parse_seq("1^w", T3), 4.0, 2.3)
+
+
+def test_membership_refuses_alphabets_other_than_0_1_m():
+    # {0, 1, 2, 3} passes the zero-free check with m = 3, but its gaps
+    # are not those of {0, 1, m}
+    with pytest.raises(ValueError, match="alphabet"):
+        check_v_membership(parse_seq("(13)^w", A0123), 3.0, 2.3)
+    # the digits decide, not the characters that write them
+    v = check_v_membership(parse_seq("(12)^w", Alphabet.from_digits([0, 1, 3])),
+                           3.0, 2.3)
+    assert v == check_v_membership(parse_seq("(1m)^w", T3), 3.0, 2.3)
 
 
 def test_membership_requires_q_above_two():
@@ -296,7 +309,7 @@ def _scan_by_brute_force(m, q, lmax):
             if any(k in text for k in kept):
                 continue
             tested.append(text[1:])
-            if is_forbidden_block(Word(alphabet, tail), m, q):
+            if is_forbidden_block(text[1:], m, q):
                 kept.append(text)
     return kept, tested
 
@@ -310,7 +323,7 @@ def test_scan_matches_brute_force(m, lmax, data):
     tested = []
 
     def recording(w, *args):
-        tested.append(w.text())
+        tested.append(w)
         return is_forbidden_block(w, *args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -329,18 +342,13 @@ def test_scan_limits():
 
 # --- families ---------------------------------------------------------------
 
-def test_family_spec_validation():
-    with pytest.raises(ValueError):
-        FamilySpec(())
-    fam = FamilySpec.from_texts(["mm1", "mm1m1"], 4.0)
-    assert [b.text() for b in fam.blocks] == ["mm1", "mm1m1"]
-
-
-def test_family_spec_rejects_mixed_alphabets():
-    a = FamilySpec.from_texts(["m1"], 3.0).blocks[0]
-    b = FamilySpec.from_texts(["m1"], 4.0).blocks[0]
-    with pytest.raises(ValueError):
-        FamilySpec((a, b))
+def test_certify_family_rejects_empty_blocks():
+    with pytest.raises(ValueError, match="at least one block"):
+        certify_family([], 4.0, 2.25)
+    with pytest.raises(ValueError, match="nonempty"):
+        certify_family(["mm1", ""], 4.0, 2.25)
+    with pytest.raises(ValueError, match="unknown digit character"):
+        certify_family(["mm1", "mx"], 4.0, 2.25)
 
 
 CERTIFIED = [
@@ -352,14 +360,12 @@ CERTIFIED = [
 
 @pytest.mark.parametrize("texts,m,q", CERTIFIED)
 def test_known_families_certify(texts, m, q):
-    fam = FamilySpec.from_texts(texts, m)
-    assert certify_family(fam, m, q)
+    assert certify_family(texts, m, q)
 
 
 @pytest.mark.parametrize("texts,m,q", CERTIFIED)
 def test_known_families_fail_below_the_threshold(texts, m, q):
-    fam = FamilySpec.from_texts(texts, m)
-    assert not certify_family(fam, m, r_of_m(m) - 0.01)
+    assert not certify_family(texts, m, r_of_m(m) - 0.01)
 
 
 def test_certified_concatenations_are_members():
@@ -367,19 +373,14 @@ def test_certified_concatenations_are_members():
     membership check at the same parameters."""
     rng = random.Random(606)
     for texts, m, q in CERTIFIED:
-        fam = FamilySpec.from_texts(texts, m)
-        assert certify_family(fam, m, q)
+        assert certify_family(texts, m, q)
         for _ in range(25):
-            picks = [rng.choice(fam.blocks) for _ in range(rng.randrange(1, 5))]
-            period = tuple(s for b in picks for s in b.symbols)
-            seq = EPSeq(fam.alphabet, (), period)
+            picks = [rng.choice(texts) for _ in range(rng.randrange(1, 5))]
+            seq = parse_seq(f"({''.join(picks)})^w", Alphabet.ternary(m))
             assert check_v_membership(seq, m, q).kind \
                 is VerdictKind.PROVEN_UNIQUE
 
 
 def test_certify_family_validates_inputs():
-    fam = FamilySpec.from_texts(["m1"], 3.0)
     with pytest.raises(ValueError):
-        certify_family(fam, 3.0, 1.9)
-    with pytest.raises(ValueError):
-        certify_family(fam, 4.0, 2.5)
+        certify_family(["m1"], 3.0, 1.9)
