@@ -14,11 +14,12 @@ transition tables and DOT exports reproducible byte for byte.
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
+
+from ._rounding import newton_descent, round_root
 
 ZERO_FREE_SYMBOLS = ("1", "m")
 
@@ -405,72 +406,13 @@ def _perron_root(succ: list[list[int]]) -> float:
     Newton's method in floats starts at the largest row sum, which is
     at least rho.  Every root of p has modulus at most rho, so by
     Gauss-Lucas p, p' and p'' are positive to the right of rho and the
-    iterates descend towards it.  :func:`_round_root` then settles the
-    float they stop at exactly.
+    iterates descend to it.  ``round_root`` settles the last bit.
     """
     coeffs = _charpoly(succ)
     while coeffs[-1] == 0:  # strip the factor x^k
         coeffs.pop()
-    fcoeffs = [float(c) for c in coeffs]
-    x = float(max(map(len, succ)))
-    while True:
-        p = dp = 0.0
-        for c in fcoeffs:
-            dp = dp * x + p
-            p = p * x + c
-        if p <= 0.0 or dp <= 0.0:
-            break
-        nxt = x - p / dp
-        if not nxt < x:
-            break
-        x = nxt
-    return _round_root(coeffs, x)
-
-
-def _round_root(coeffs: list[int], x: float) -> float:
-    """The float nearest to the largest real root rho of the polynomial
-    ``coeffs`` (as in :func:`_exceeds_root`, rho > 0), searched for from
-    the float x.
-
-    The answer is the least float whose midpoint with the next float up
-    exceeds rho.  Steps that double from x bracket it, and bisection
-    over the floats' bit patterns finds it; when x is the answer, that
-    takes two exact tests.
-    """
-    def below_upper_midpoint(i: int) -> bool:
-        (n1, d1), (n2, d2) = (_float_at(j).as_integer_ratio() for j in (i, i + 1))
-        d = max(d1, d2)  # both are powers of 2
-        return _exceeds_root(coeffs, n1 * (d // d1) + n2 * (d // d2), 2 * d)
-
-    # ordinals lo < hi of floats >= 0, the test false at lo and true at hi
-    i = _ordinal(x)
-    step = 1
-    if below_upper_midpoint(i):
-        hi, lo = i, i - 1
-        while below_upper_midpoint(lo):
-            hi, step = lo, 2 * step
-            lo = max(hi - step, 0)
-    else:
-        lo, hi = i, i + 1
-        while not below_upper_midpoint(hi):
-            lo, step = hi, 2 * step
-            hi = lo + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below_upper_midpoint(mid):
-            hi = mid
-        else:
-            lo = mid
-    return _float_at(hi)
-
-
-def _ordinal(x: float) -> int:
-    """Position of a float >= 0 in the order of all floats >= 0."""
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _float_at(i: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", i))[0]
+    x = newton_descent([float(c) for c in coeffs], float(max(map(len, succ))))
+    return round_root(lambda num, den: _exceeds_root(coeffs, num, den), x)
 
 
 def export_dot(a: Automaton) -> str:

@@ -8,8 +8,8 @@ Subcommands:
     automaton   build the avoidance automaton (DOT / classify / count)
     selftest    run the built-in consistency suites
 
-Exit codes: 0 success, 1 selftest failure, 2 bad input, 3 a request
-outside the supported parameter domain.
+Exit codes: 0 success, 1 selftest failure or stdout closed early, 2 bad
+input, 3 a request outside the supported parameter domain.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -177,8 +178,8 @@ def curve_rows(m_lo: float, m_hi: float, step: float) -> list[CurveRow]:
     for k in range(_grid_size(m_lo, m_hi + 1e-12, step)):
         m = m_lo + k * step
         b = branch_for(m)
-        rows.append(CurveRow(m, P(m), R(m), p_of_m(m), r_of_m(m),
-                             b.label if b is not None else None))
+        r = None if b is None else r_of_m(m, branch=b)
+        rows.append(CurveRow(m, P(m), R(m), p_of_m(m), r, b and b.label))
     return rows
 
 
@@ -334,7 +335,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows up here at the latest
+        return code
+    except BrokenPipeError:  # the reader left; silence the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UnsupportedDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

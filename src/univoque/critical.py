@@ -11,20 +11,22 @@ countable-to-uncountable threshold r(m).  Both are computed here on the
 parameter windows where a defining eventually periodic sequence is
 known; outside those windows the functions return None (unsupported).
 
-p(m), and r(m) on Comp0_full and Comp10_left, have closed forms.  On
-Comp10_mid and Comp10_right r(m) is bisected on a signed residual,
-pi_q(seq) - (m - 1) (plain) or reflected pi_q - 1 (complement).  Both
-are series with nonnegative terms, hence strictly decreasing in q > 1;
-the solver checks this once from the digits of the sequence.
+p(m) has closed forms.  On every window r(m) is the root of a signed
+residual, pi_q(seq) - (m - 1) (plain) or reflected pi_q - 1
+(complement), series with nonnegative terms and so strictly decreasing
+in q > 1, which is checked from the digits of the sequence.  Cleared of
+denominators it is an integer polynomial, and r(m) its root correctly
+rounded.  ``solve_pi_root`` bisects the residual itself, for the constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Mapping
 
+from ._rounding import newton_descent, round_root
 from .sequences import (
     Alphabet,
     EPSeq,
@@ -206,13 +208,35 @@ def compute_constants() -> Constants:
 
 # --- r and p curves ---------------------------------------------------------
 
+def _numerator(seq: EPSeq, form: str, one: int, m: int) -> list[int]:
+    """Coefficients, lowest power first, of N(q): the residual of ``seq``
+    in ``form`` times q^n (q^p - 1) > 0, for n and p symbols in the
+    preperiod and the period.  The digits 1 and m, and the residual's
+    constant 1, count as ``one`` and ``m``: N is linear in the two."""
+    # the complement residual is pi_q of the reflected digits m - c_i, minus 1
+    digits, level = (((0, one, m), m - one) if form == PLAIN
+                     else ((m, m - one, 0), one))
+    pre, per = seq.preperiod, seq.period
+    n, p = len(pre), len(per)
+    # q^n (q^p - 1) pi_q = (q^p - 1) sum_i u_i q^(n-i) + sum_j v_j q^(p-j)
+    c = [0] * (n + p + 1)
+    for i, s in enumerate(pre, 1):
+        c[n - i + p] += digits[s]
+        c[n - i] -= digits[s]
+    for j, s in enumerate(per, 1):
+        c[p - j] += digits[s]
+    c[n + p] -= level
+    c[n] += level
+    return c
+
+
 @dataclass(frozen=True)
 class Branch:
-    """One window of the r(m) curve with its defining sequence.
-
-    ``closed_form`` is set when the defining residual reduces to a
-    quadratic; ``polynomial`` gives an equivalent polynomial residual in
-    (m, q) used for independent cross-checks.
+    """One window [lo, hi] of the r(m) curve with its defining sequence,
+    whose symbols ``preperiod`` and ``period`` are parsed once from
+    ``notation``.  The pairs (a_k, b_k) of ``numerator`` give the integer
+    polynomial N(q) = sum_k (a_k + m b_k) q^k of its residual in ``form``
+    (see :func:`_numerator`); r(m) is its root, correctly rounded.
     """
 
     label: str
@@ -220,38 +244,31 @@ class Branch:
     form: str
     lo: float
     hi: float
-    closed_form: Callable[[float], float] | None
-    polynomial: Callable[[float, float], float]
+    preperiod: tuple[int, ...] = field(init=False)
+    period: tuple[int, ...] = field(init=False)
+    numerator: tuple[tuple[int, int], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        seq = _ternary_seq(self.notation, 2.0)  # its symbols do not depend on m
+        a, b = (_numerator(seq, self.form, one, m) for one, m in ((1, 0), (0, 1)))
+        object.__setattr__(self, "preperiod", seq.preperiod)
+        object.__setattr__(self, "period", seq.period)
+        object.__setattr__(self, "numerator", tuple(zip(a, b)))
 
     def defining_seq(self, m: float) -> EPSeq:
-        return _ternary_seq(self.notation, m)
-
-
-def _closed_comp0(m: float) -> float:
-    return (2.0 * m - 1.0 + math.sqrt(4.0 * m - 3.0)) / (2.0 * m - 2.0)
-
-
-def _closed_left(m: float) -> float:
-    return ((m - 1.0) + math.sqrt((m - 1.0) ** 2 + 4.0)) / 2.0
+        # {0, 1, m} built directly: branch_for admits m up to 1e-12 below 2
+        alphabet = Alphabet((0.0, 1.0, float(m)), ("0", "1", "m"))
+        return EPSeq(alphabet, self.preperiod, self.period)
 
 
 @lru_cache(maxsize=1)
 def branches() -> tuple[Branch, ...]:
     c = compute_constants()
     return (
-        Branch("Comp0_full", "m1^w", PLAIN, 2.0, 1.0 + c.alpha,
-               _closed_comp0,
-               lambda m, q: (m - 1.0) * (q - 1.0) ** 2 - q),
-        Branch("Comp10_left", "(1m)^w", COMPLEMENT, c.m_d, c.m_1,
-               _closed_left,
-               lambda m, q: q * q - (m - 1.0) * q - 1.0),
-        Branch("Comp10_mid", "mm1(m11m)^w", PLAIN, c.m_2, c.m_3,
-               None,
-               lambda m, q: (m - 1.0) * (q**6 - 2 * q**5 + q**4 - q**3
-                                         - q**2 + 2 * q - 1) - (q**5 + q**3)),
-        Branch("Comp10_right", "m(m1)^w", PLAIN, c.m_4, c.M_d,
-               None,
-               lambda m, q: (m - 1.0) * (q**3 - q**2 - 2 * q + 1) - (q**2 + q)),
+        Branch("Comp0_full", "m1^w", PLAIN, 2.0, 1.0 + c.alpha),
+        Branch("Comp10_left", "(1m)^w", COMPLEMENT, c.m_d, c.m_1),
+        Branch("Comp10_mid", "mm1(m11m)^w", PLAIN, c.m_2, c.m_3),
+        Branch("Comp10_right", "m(m1)^w", PLAIN, c.m_4, c.M_d),
     )
 
 
@@ -262,14 +279,35 @@ def branch_for(m: float) -> Branch | None:
     return None
 
 
-def r_of_m(m: float) -> float | None:
-    """Countable-to-uncountable threshold, or None off the known windows."""
-    b = branch_for(m)
+def r_of_m(m: float, *, branch: Branch | None = None) -> float | None:
+    """Countable-to-uncountable threshold, or None off the known windows;
+    ``branch`` may pass ``branch_for(m)`` when the caller has it.
+
+    r(m) is the float nearest to the root of the branch's N in (2, R(m)).
+    Newton's method in floats descends on -N from R(m), staying above 2.
+    ``round_root`` settles the last bit by the sign of N at float
+    midpoints, exact in integers as m and the midpoints are dyadic: N
+    changes sign once for q > 1, from + to -.  The residual at the root,
+    through ``pi_eval``, must be below 1e-10.
+    """
+    b = branch or branch_for(m)
     if b is None:
         return None
-    if b.closed_form is not None:
-        return b.closed_form(m)
-    return solve_pi_root(b.defining_seq(m), b.form, m)
+    m_num, m_den = m.as_integer_ratio()
+    exact = [a * m_den + c * m_num for a, c in reversed(b.numerator)]
+    x = newton_descent([-a - m * c for a, c in reversed(b.numerator)], R(m), 2.0)
+
+    def above(num: int, den: int) -> bool:  # den^d m_den N(num/den) < 0
+        acc, scale = 0, 1
+        for c in exact:
+            acc, scale = acc * num + c * scale, scale * den
+        return acc < 0
+
+    root = round_root(above, x)
+    res = _residual_fn(b.defining_seq(m), b.form, m)(root)
+    if not abs(res) < 1e-10:
+        raise ValueError(f"residual {res} at r({m}) = {root} exceeds tolerance")
+    return root
 
 
 def p_of_m(m: float) -> float | None:

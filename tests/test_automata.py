@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from univoque._rounding import round_root
 from univoque.automata import (
     MAX_PERRON_STATES,
     ZERO_FREE_SYMBOLS,
     Automaton,
     GrowthKind,
-    _round_root,
+    _exceeds_root,
     build_safety_automaton,
     classify_growth,
     count_words,
@@ -182,11 +183,14 @@ def test_tribonacci_growth_rate_is_correctly_rounded():
 
 
 def test_round_root_settles_from_any_start():
+    def perron(coeffs):
+        return lambda num, den: _exceeds_root(coeffs, num, den)
+
     want = 1.8392867552141612
     for x in (0.0, 1.0, 1.839286755214161, 1.8392867552141614, 2.0, 1e300):
-        assert _round_root([1, -1, -1, -1], x) == want
-    assert _round_root([1, -2], 1.0) == _round_root([1, -2], 3.0) == 2.0
-    assert _round_root([1, 0, -2], 1.0) == 2 ** 0.5
+        assert round_root(perron([1, -1, -1, -1]), x) == want
+    assert round_root(perron([1, -2]), 1.0) == round_root(perron([1, -2]), 3.0) == 2.0
+    assert round_root(perron([1, 0, -2]), 1.0) == 2 ** 0.5
 
 
 def test_perron_bound_is_checked_per_branching_component():
@@ -265,6 +269,22 @@ def test_import_loads_no_numpy():
     lines = out.splitlines()  # the pi value is printed between the two
     assert lines[0] == "False False"
     assert lines[-1] == "False"
+
+
+def test_exact_steps_load_no_fractions():
+    # the exact root and growth-rate steps work in plain integers
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import univoque; "
+            "exact = lambda: sorted({'fractions', 'decimal'} & set(sys.modules)); "
+            "print(exact()); import univoque.cli; "
+            "univoque.cli.main(['scan-curve', '--m-lo', '2', '--m-hi', '5', "
+            "'--step', '0.1']); "
+            "univoque.cli.main(['automaton', '--blocks', '111', '--classify']); "
+            "print(exact())")
+    out = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == lines[-1] == "[]"
 
 
 def test_every_public_name_resolves():

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -289,9 +292,9 @@ def test_grid_size_cap_is_exact():
 # blocks scanned at r(3) plus the eighth.
 GOLDEN_STDOUT = {
     ("scan-curve", "--m-lo", "2", "--m-hi", "5", "--step", "0.01"):
-        "b85569145c6885e3d71b4083c5ef33477ec3c0af67eaa4be60d34dc235aedd71",
+        "5d591be69c151d01e307f43c5790d09cc5444bf7b5e70a4dc59616920d618fb9",
     ("selftest",):
-        "2a3d80d3ea95279e78740d003f32a3d07852bf9d8f1467dc393630a855e76ad4",
+        "54910ba82bc37635396861cd431190af0188e2b2d3fd02cda9fa667a3d1d8b1d",
     ("automaton", "--blocks", "111", "--classify"):
         "6977ca1605a21f93b581fca9b5cdbc25e8120a526c40b8a64f888b7b32cac7cd",
     ("automaton", "--blocks", "1111,mmm", "--classify"):
@@ -439,6 +442,20 @@ def test_selftest_json(capsys):
     assert all(entry["passed"] for entry in payload)
     names = [entry["name"] for entry in payload]
     assert "sign_relations" in names and "automata_fixtures" in names
+
+
+def test_stdout_closed_early_exits_1_without_a_traceback():
+    # as in `univoque selftest --json | head -c 10`, with the reader
+    # gone before anything is written
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from univoque.cli import main; sys.exit(main(sys.argv[2:]))")
+    proc = subprocess.Popen([sys.executable, "-c", code, str(src), "selftest", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate()
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 def test_selftest_perturbation_fails(capsys):

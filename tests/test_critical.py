@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,7 +46,9 @@ REF = {
     "r_3": 2.3701991085129286,
     "r_4": 2.1902157302443957,
     "r_285": 2.2872132725825277,
-    "r_29": 2.3293114224133722,
+    # (1.9 + sqrt 7.61)/2 = 2.32931142241337217..., nearest float
+    # 2.329311422413372; a literal ending in ...722 is one ulp above it
+    "r_29": 2.329311422413372,
     "p_3": 2.1861406616345072,
     "P_at_M_d": 2.1322418823119002,
 }
@@ -97,9 +100,9 @@ def test_first_endpoint_three_ways():
 
 
 @pytest.mark.parametrize("m,key", [
-    (3.0, "r_3"), (4.0, "r_4"), (2.85, "r_285"), (2.9, "r_29")])
+    (2.0, "r_2"), (3.0, "r_3"), (4.0, "r_4"), (2.85, "r_285"), (2.9, "r_29")])
 def test_r_reference_values(m, key):
-    assert r_of_m(m) == pytest.approx(REF[key], abs=1e-11)
+    assert r_of_m(m) == REF[key]
 
 
 def test_r_gaps_return_none():
@@ -120,26 +123,30 @@ def test_branch_labels_and_windows():
         assert lo < hi
 
 
-def test_closed_forms_match_the_solver():
-    for b in branches():
-        if b.closed_form is None:
-            continue
-        for i in range(10):
-            m = b.lo + (b.hi - b.lo) * i / 9
-            closed = b.closed_form(m)
-            solved = solve_pi_root(b.defining_seq(m), b.form, m)
-            assert abs(closed - solved) < 1e-10, (b.label, m)
+# Each window's defining equation as an integer polynomial in (m, q),
+# written out by hand: its root in (2, R(m)) is r(m).
+_WINDOW_POLYNOMIALS = {
+    "Comp0_full": lambda m, q: (m - 1) * (q - 1) ** 2 - q,
+    "Comp10_left": lambda m, q: q * q - (m - 1) * q - 1,
+    "Comp10_mid": lambda m, q: (m - 1) * (q**6 - 2 * q**5 + q**4 - q**3 - q**2
+                                          + 2 * q - 1) - (q**5 + q**3),
+    "Comp10_right": lambda m, q: (m - 1) * (q**3 - q**2 - 2 * q + 1) - (q**2 + q),
+}
 
 
-def test_polynomial_roots_match_the_pi_roots():
-    """Each branch's defining equation has an equivalent polynomial in
-    (m, q); the two root finders must agree."""
-    for b in branches():
-        for i in range(10):
-            m = b.lo + (b.hi - b.lo) * i / 9
-            r = r_of_m(m)
-            proot = bisect_root(lambda q: b.polynomial(m, q), 2.0, R(m))
-            assert abs(proot - r) < 1e-9, (b.label, m)
+@settings(max_examples=400)
+@given(window=st.sampled_from(range(4)), u=st.floats(0.0, 1.0))
+def test_r_is_the_correctly_rounded_root(window, u):
+    """The window's polynomial changes sign, exactly, between the two
+    float midpoints around r(m): no other float is nearer to the root."""
+    b = branches()[window]
+    m = b.lo + (b.hi - b.lo) * u
+    r = r_of_m(m)
+    assert branch_for(m) is b
+    poly = _WINDOW_POLYNOMIALS[b.label]
+    below = (Fraction(r) + Fraction(math.nextafter(r, 0.0))) / 2
+    above = (Fraction(r) + Fraction(math.nextafter(r, math.inf))) / 2
+    assert poly(Fraction(m), below) * poly(Fraction(m), above) < 0, (b.label, m)
 
 
 def test_residual_small_and_bracketed_across_branches():
