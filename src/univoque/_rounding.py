@@ -4,7 +4,7 @@ Newton's method in floats, then exact tests at float midpoints."""
 from __future__ import annotations
 
 import struct
-from typing import Callable
+from typing import Callable, Sequence
 
 
 def newton_descent(coeffs: list[float], x: float, lo: float = 0.0) -> float:
@@ -60,6 +60,21 @@ def round_root(above: Callable[[int, int], bool], x: float) -> float:
         else:
             lo = mid
     return _float_at(hi)
+
+
+def polynomial_root(coeffs: Sequence[int], hi: float, lo: float) -> float:
+    """The float nearest to the root in (lo, hi) of the polynomial with
+    integer ``coeffs`` (highest power first), positive above that root:
+    Newton's method down from hi, then :func:`round_root` by exact signs."""
+    x = newton_descent([float(c) for c in coeffs], hi, lo)
+
+    def above(num: int, den: int) -> bool:  # den^d p(num/den) > 0
+        acc, scale = 0, 1
+        for c in coeffs:
+            acc, scale = acc * num + c * scale, scale * den
+        return acc > 0
+
+    return round_root(above, x)
 
 
 def _ordinal(x: float) -> int:

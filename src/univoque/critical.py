@@ -16,7 +16,10 @@ residual, pi_q(seq) - (m - 1) (plain) or reflected pi_q - 1
 (complement), series with nonnegative terms and so strictly decreasing
 in q > 1, which is checked from the digits of the sequence.  Cleared of
 denominators it is an integer polynomial, and r(m) its root correctly
-rounded.  ``solve_pi_root`` bisects the residual itself, for the constants.
+rounded.  The constants that bound the windows are algebraic too, each
+the correctly rounded root of its own integer polynomial.
+``solve_pi_root`` bisects the residual itself: the reference route that
+``selftest`` checks r(m) against.
 """
 
 from __future__ import annotations
@@ -26,20 +29,17 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Mapping
 
-from ._rounding import newton_descent, round_root
+from ._rounding import polynomial_root
 from .sequences import (
     Alphabet,
     EPSeq,
     parse_seq,
-    pi_complement,
     pi_eval,
     require_zero_free,
 )
 
 PLAIN = "plain"
 COMPLEMENT = "complement"
-
-_BISECT_TOL = 1e-13
 
 
 def P(m: float) -> float:
@@ -57,7 +57,7 @@ def R(m: float) -> float:
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = _BISECT_TOL) -> float:
+                tol: float = 1e-13) -> float:
     """A root of f in [lo, hi] by bisection to width ``tol``; f must
     change sign over the bracket or vanish at one of its ends."""
     flo, fhi = f(lo), f(hi)
@@ -156,54 +156,48 @@ def _ternary_seq(notation: str, m: float) -> EPSeq:
     return parse_seq(notation, Alphabet.ternary(m))
 
 
-def _mid_window_base(m: float) -> float:
-    """Base where pi_q(mm1(m11m)^w) = m - 1 (middle window residual)."""
-    return solve_pi_root(_ternary_seq("mm1(m11m)^w", m), PLAIN, m)
+# name: (integer polynomial, highest power first and positive above the
+# constant; its bracket lo, hi; how the polynomial is found)
+_ALGEBRAIC = {
+    "alpha": ((1, 0, -1, -1), 1.0, 2.0, "x^3 - x - 1 (first Pisot number)"),
+    "q_1": ((1, -2, -2, 3, 0, -1), 2.0, 3.0, "q^2 (q-1) (q^2 - q - 3) - 1"),
+    "m_1": ((1, -7, 18, -23, 17, -5), 2.8, 3.0,
+            "m^5 - 7m^4 + 18m^3 - 23m^2 + 17m - 5: q eliminated from q_1's "
+            "quintic and q^2 - (m-1)q - 1, so m_1 = 1 + q_1 - 1/q_1"),
+    "m_d": ((1, -4, 3, 1), 2.5, 3.2,
+            "m^3 - 4m^2 + 3m + 1, so m_d = 1 + 2cos(pi/7): P eliminated from "
+            "pi_P((m1)^w) = m - 1 and (m-1)P(P-2) = 1"),
+    "M_d": ((1, -6, 7, -2, 1), 4.0, 5.0,
+            "m^4 - 6m^3 + 7m^2 - 2m + 1: P eliminated from reflected "
+            "pi_P((m1)^w) = 1 and (m-1)P(P-2) = 1"),
+    "m_3": ((4, -18, 21, -16, 17, -7, -3, 1), 3.0, 3.2,
+            "4m^7 - 18m^6 + 21m^5 - 16m^4 + 17m^3 - 7m^2 - 3m + 1: q eliminated "
+            "from the numerators of pi_q(mm1(m11m)^w) = m - 1 and reflected "
+            "pi_q((1mm1)^w) = 1, cleared of their common factor q + 1"),
+}
 
 
 @lru_cache(maxsize=1)
 def compute_constants() -> Constants:
-    """Solve every named constant from its defining equation."""
-    alpha = bisect_root(lambda x: x * x * x - x - 1.0, 1.0, 2.0)
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    # m_d / M_d: where the pair curve (m1)^w meets P(m), plainly and reflected
-    m_d = bisect_root(lambda m: pi_eval(_ternary_seq("(m1)^w", m), P(m)) - (m - 1.0),
-                      2.5, 3.2)
-    M_d = bisect_root(lambda m: pi_complement(_ternary_seq("(m1)^w", m), m, P(m)) - 1.0,
-                      4.0, 5.0)
-    q_1 = bisect_root(lambda q: q * q * (q - 1.0) * (q * q - q - 3.0) - 1.0, 2.0, 3.0)
-    m_1 = 1.0 + q_1 - 1.0 / q_1
-    m_2 = 2.992
-    # m_3: where the reflection of (1mm1)^w reaches 1 at the middle-window base
-    m_3 = bisect_root(
-        lambda m: pi_complement(_ternary_seq("(1mm1)^w", m), m, _mid_window_base(m)) - 1.0,
-        3.0, 3.2, tol=5e-12)
-    m_4 = (3.0 + math.sqrt(13.0)) / 2.0
-    q_4 = (1.0 + math.sqrt(13.0)) / 2.0
-
-    consts = Constants(
-        alpha=alpha, phi=phi, m_d=m_d, M_d=M_d, q_1=q_1, m_1=m_1,
-        m_2=m_2, m_3=m_3, m_4=m_4, q_4=q_4, kl_q_prime=1.78723,
+    """Every named constant from its defining equation, correctly rounded."""
+    c = Constants(
+        **{name: polynomial_root(coeffs, hi, lo)
+           for name, (coeffs, lo, hi, _) in _ALGEBRAIC.items()},
+        phi=(1.0 + math.sqrt(5.0)) / 2.0, m_2=2.992, kl_q_prime=1.78723,
+        m_4=(3.0 + math.sqrt(13.0)) / 2.0, q_4=(1.0 + math.sqrt(13.0)) / 2.0,
         provenance={
-            "alpha": "real root of x^3 = x + 1 (first Pisot number)",
+            **{name: f"root in ({lo}, {hi}) of {how}"
+               for name, (_, lo, hi, how) in _ALGEBRAIC.items()},
             "phi": "(1 + sqrt 5)/2",
-            "m_d": "root in m of pi_{P(m)}((m1)^w) = m - 1",
-            "M_d": "root in m of reflected pi_{P(m)}((m1)^w) = 1",
-            "q_1": "root above 2 of q^2 (q-1) (q^2 - q - 3) = 1",
-            "m_1": "1 + q_1 - 1/q_1",
             "m_2": "configured literal (approximate window endpoint)",
-            "m_3": "root in m of reflected pi of (1mm1)^w = 1 at the middle-window base",
-            "m_4": "(3 + sqrt 13)/2",
-            "q_4": "(1 + sqrt 13)/2",
+            "m_4": "(3 + sqrt 13)/2", "q_4": "(1 + sqrt 13)/2",
             "kl_q_prime": "display-only literal (two-digit alphabet threshold)",
         },
     )
-    if not (1.0 < consts.alpha < consts.phi < 2.0):
-        raise ArithmeticError("constant ordering violated (alpha, phi)")
-    if not (2.0 < consts.m_d < consts.m_1 < consts.m_2 < consts.m_3
-            < consts.m_4 < consts.M_d):
-        raise ArithmeticError("constant ordering violated (window endpoints)")
-    return consts
+    if not (1.0 < c.alpha < c.phi < 2.0 < c.m_d < c.m_1 < c.m_2 < c.m_3
+            < c.m_4 < c.M_d):
+        raise ArithmeticError("constant ordering violated")
+    return c
 
 
 # --- r and p curves ---------------------------------------------------------
@@ -283,27 +277,18 @@ def r_of_m(m: float, *, branch: Branch | None = None) -> float | None:
     """Countable-to-uncountable threshold, or None off the known windows;
     ``branch`` may pass ``branch_for(m)`` when the caller has it.
 
-    r(m) is the float nearest to the root of the branch's N in (2, R(m)).
-    Newton's method in floats descends on -N from R(m), staying above 2.
-    ``round_root`` settles the last bit by the sign of N at float
-    midpoints, exact in integers as m and the midpoints are dyadic: N
-    changes sign once for q > 1, from + to -.  The residual at the root,
-    through ``pi_eval``, must be below 1e-10.
+    r(m) is the float nearest to the root of the branch's N in (2, R(m)),
+    found by ``polynomial_root`` on -N times the denominator of the
+    float m, an integer polynomial: N changes sign once for q > 1, from
+    + to -.  The residual at the root, through ``pi_eval``, must be
+    below 1e-10.
     """
     b = branch or branch_for(m)
     if b is None:
         return None
     m_num, m_den = m.as_integer_ratio()
-    exact = [a * m_den + c * m_num for a, c in reversed(b.numerator)]
-    x = newton_descent([-a - m * c for a, c in reversed(b.numerator)], R(m), 2.0)
-
-    def above(num: int, den: int) -> bool:  # den^d m_den N(num/den) < 0
-        acc, scale = 0, 1
-        for c in exact:
-            acc, scale = acc * num + c * scale, scale * den
-        return acc < 0
-
-    root = round_root(above, x)
+    root = polynomial_root([-a * m_den - c * m_num for a, c in reversed(b.numerator)],
+                           R(m), 2.0)
     res = _residual_fn(b.defining_seq(m), b.form, m)(root)
     if not abs(res) < 1e-10:
         raise ValueError(f"residual {res} at r({m}) = {root} exceeds tolerance")

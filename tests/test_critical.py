@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from univoque._rounding import polynomial_root
 from univoque.critical import (
     COMPLEMENT,
     PLAIN,
@@ -38,10 +39,13 @@ REF = {
     "phi": 1.6180339887498949,
     "q_1": 2.3401769582012439,
     "m_1": 2.9128588459980364,
-    "m_d": 2.8019377358048383,
+    # 1 + 2cos(pi/7) = 2.80193773580483825247..., nearest float
+    # 2.801937735804838; a literal ending in ...383 is one ulp above it
+    "m_d": 2.801937735804838,
     "M_d": 4.5464554446849952,
     "m_4": 3.3027756377319946,
     "q_4": 2.3027756377319946,
+    "m_3": 3.1021409150958155,
     "r_2": 2.6180339887498949,
     "r_3": 2.3701991085129286,
     "r_4": 2.1902157302443957,
@@ -67,9 +71,8 @@ def test_bracket_curves_and_identities():
 
 def test_constants_match_references():
     c = compute_constants()
-    for name in ("alpha", "phi", "q_1", "m_1", "m_d", "M_d", "m_4", "q_4"):
-        assert getattr(c, name) == pytest.approx(REF[name], abs=1e-11), name
-    assert c.m_3 == pytest.approx(3.1021409150958154, abs=1e-9)
+    for name in ("alpha", "phi", "q_1", "m_1", "m_d", "M_d", "m_4", "q_4", "m_3"):
+        assert getattr(c, name) == REF[name], name
     assert c.m_2 == 2.992
     assert c.kl_q_prime == 1.78723
     assert P(c.M_d) == pytest.approx(REF["P_at_M_d"], abs=1e-11)
@@ -88,6 +91,86 @@ def test_constants_ordering_and_report():
 
 def test_constants_are_cached():
     assert compute_constants() is compute_constants()
+
+
+# Each constant's polynomial, written out by hand.
+_CONSTANT_POLYNOMIALS = {
+    "alpha": lambda x: x**3 - x - 1,
+    "phi": lambda x: x**2 - x - 1,
+    "q_1": lambda q: q**2 * (q - 1) * (q**2 - q - 3) - 1,
+    "m_1": lambda m: m**5 - 7 * m**4 + 18 * m**3 - 23 * m**2 + 17 * m - 5,
+    "m_d": lambda m: m**3 - 4 * m**2 + 3 * m + 1,
+    "M_d": lambda m: m**4 - 6 * m**3 + 7 * m**2 - 2 * m + 1,
+    "m_3": lambda m: (4 * m**7 - 18 * m**6 + 21 * m**5 - 16 * m**4 + 17 * m**3
+                      - 7 * m**2 - 3 * m + 1),
+    "m_4": lambda m: m**2 - 3 * m - 1,
+    "q_4": lambda q: q**2 - q - 3,
+}
+
+
+def _seq(notation, m):
+    return parse_seq(notation, Alphabet.ternary(m))
+
+
+def _bisected_q_1():
+    return bisect_root(lambda q: q * q * (q - 1) * (q * q - q - 3) - 1, 2.0, 3.0)
+
+
+def _mid_window_base(m):
+    """Base where pi_q(mm1(m11m)^w) = m - 1 (middle window residual)."""
+    return solve_pi_root(_seq("mm1(m11m)^w", m), PLAIN, m)
+
+
+# Each algebraic constant by bisection of its defining equation, the
+# route that defined it before its polynomial did, and the tolerance.
+_BISECTION_ROUTES = {
+    "alpha": (lambda: bisect_root(lambda x: x**3 - x - 1, 1.0, 2.0), 1e-12),
+    "q_1": (_bisected_q_1, 1e-12),
+    "m_1": (lambda: 1 + _bisected_q_1() - 1 / _bisected_q_1(), 1e-12),
+    # where the pair curve (m1)^w meets P(m), plainly and reflected
+    "m_d": (lambda: bisect_root(
+        lambda m: pi_eval(_seq("(m1)^w", m), P(m)) - (m - 1), 2.5, 3.2), 1e-12),
+    "M_d": (lambda: bisect_root(
+        lambda m: pi_complement(_seq("(m1)^w", m), m, P(m)) - 1, 4.0, 5.0), 1e-12),
+    # where the reflection of (1mm1)^w reaches 1 at the middle-window base
+    "m_3": (lambda: bisect_root(
+        lambda m: pi_complement(_seq("(1mm1)^w", m), m, _mid_window_base(m)) - 1,
+        3.0, 3.2, tol=5e-12), 1e-11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTANT_POLYNOMIALS))
+def test_constants_are_correctly_rounded_roots(name):
+    """The constant's polynomial changes sign, exactly, between the two
+    float midpoints around it, and its bisection route agrees."""
+    x = getattr(compute_constants(), name)
+    poly = _CONSTANT_POLYNOMIALS[name]
+    below = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2
+    above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    assert poly(below) * poly(above) < 0
+    if name in _BISECTION_ROUTES:
+        route, tol = _BISECTION_ROUTES[name]
+        assert abs(route() - x) <= tol
+
+
+def test_constants_need_no_bisection_and_no_pi_eval(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called while solving the constants")
+
+    for name in ("pi_eval", "bisect_root", "solve_pi_root", "parse_seq"):
+        monkeypatch.setattr(f"univoque.critical.{name}", forbidden)
+    compute_constants.cache_clear()
+    try:
+        c = compute_constants()
+    finally:
+        compute_constants.cache_clear()  # solved again once the patches are gone
+    assert c.m_3 == REF["m_3"]
+
+
+@given(st.integers(2, 2**53))
+def test_polynomial_root_is_the_correctly_rounded_sqrt(k):
+    """IEEE 754 sqrt is correctly rounded, so it is an exact oracle."""
+    assert polynomial_root([1, 0, -k], float(k), 1.0) == math.sqrt(k)
 
 
 def test_first_endpoint_three_ways():
