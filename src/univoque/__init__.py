@@ -50,7 +50,6 @@ from .sequences import (
     pi_complement,
     pi_eval,
     pi_word,
-    shift,
 )
 from .uniqueness import (
     Verdict,
@@ -102,7 +101,6 @@ __all__ = [
     "pi_word",
     "r_of_m",
     "scan_forbidden",
-    "shift",
     "solve_pi_root",
     "strongly_connected_components",
     "__version__",

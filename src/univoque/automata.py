@@ -159,7 +159,10 @@ def _normal_form(transitions: Sequence[Sequence[int | None]], start: int | None,
 
 def strongly_connected_components(
         transitions: Sequence[Sequence[int | None]]) -> list[tuple[int, ...]]:
-    """Tarjan's algorithm with an explicit stack."""
+    """Tarjan's algorithm with an explicit stack.
+
+    Components are listed sinks first: an edge leaving a component
+    leads to one listed before it."""
     n = len(transitions)
     index = [-1] * n
     low = [0] * n
@@ -227,72 +230,51 @@ class GrowthClass:
     evidence: tuple[int, ...] = ()
 
 
-def _component_stats(a: Automaton):
-    comps = strongly_connected_components(a.transitions)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for s in comp:
-            comp_of[s] = ci
-    internal = []
-    for comp in comps:
-        members = set(comp)
-        edges = sum(1 for s in comp for t in a.transitions[s]
-                    if t is not None and t in members)
-        internal.append(edges)
-    return comps, comp_of, internal
-
-
 def classify_growth(a: Automaton) -> GrowthClass:
     """Decide whether the avoiding sequences form an empty, finite,
-    countably infinite, or uncountable set."""
+    countably infinite, or uncountable set.
+
+    One pass over the components in the order Tarjan's algorithm lists
+    them, sinks first, so each edge out of a component leads to one
+    already seen.  A branching component means Uncountable, and a cycle
+    that reaches another cycle CountablyInfinite, with the first such
+    cycle and the lowest-numbered cycle it reaches as evidence.
+    Otherwise the infinite paths are counted: 1 from a cycle, and from
+    any other state the sum over its out-edges.
+    """
     if a.start is None:
         return GrowthClass(GrowthKind.EMPTY, 0)
-    comps, comp_of, internal = _component_stats(a)
-
-    for comp, edges in zip(comps, internal):
-        if edges > len(comp):
+    comps = strongly_connected_components(a.transitions)
+    comp_of = {s: ci for ci, comp in enumerate(comps) for s in comp}
+    no_cycle = len(comps)
+    # lowest[ci]: the lowest-numbered cycle reachable from component ci,
+    # ci included, or ``no_cycle``; paths[ci]: infinite paths from ci
+    lowest: list[int] = []
+    paths: list[int] = []
+    evidence = None
+    for ci, comp in enumerate(comps):
+        internal, low, count = 0, no_cycle, 0
+        for s in comp:
+            for t in a.transitions[s]:
+                if t is None:
+                    continue
+                d = comp_of[t]
+                if d == ci:
+                    internal += 1
+                else:
+                    low = min(low, lowest[d])
+                    count += paths[d]
+        if internal > len(comp):
             return GrowthClass(GrowthKind.UNCOUNTABLE, None, comp)
-
-    cyclic = [ci for ci, comp in enumerate(comps) if internal[ci] == len(comp)]
-    cyclic_set = set(cyclic)
-    succ_comps: dict[int, set[int]] = {ci: set() for ci in range(len(comps))}
-    for s, _i, t in a.edges():
-        if comp_of[s] != comp_of[t]:
-            succ_comps[comp_of[s]].add(comp_of[t])
-    for ci in cyclic:
-        seen = set()
-        frontier = [ci]
-        while frontier:
-            c = frontier.pop()
-            for d in succ_comps[c]:
-                if d not in seen:
-                    seen.add(d)
-                    frontier.append(d)
-        linked = sorted(seen & cyclic_set)
-        if linked:
-            evidence = tuple(sorted(comps[ci] + comps[linked[0]]))
-            return GrowthClass(GrowthKind.COUNTABLY_INFINITE, None, evidence)
-
-    cyclic_states = {s for ci in cyclic for s in comps[ci]}
-    memo: dict[int, int] = {}
-    stack = [a.start]
-    while stack:
-        s = stack[-1]
-        if s in memo:
-            stack.pop()
-            continue
-        if s in cyclic_states:
-            memo[s] = 1
-            stack.pop()
-            continue
-        deps = [t for t in a.transitions[s] if t is not None]
-        missing = [t for t in deps if t not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        memo[s] = sum(memo[t] for t in deps)
-        stack.pop()
-    return GrowthClass(GrowthKind.FINITE_PATHS, memo[a.start])
+        if internal == len(comp):
+            if low < no_cycle and evidence is None:
+                evidence = tuple(sorted(comp + comps[low]))
+            low, count = min(low, ci), 1
+        lowest.append(low)
+        paths.append(count)
+    if evidence is not None:
+        return GrowthClass(GrowthKind.COUNTABLY_INFINITE, None, evidence)
+    return GrowthClass(GrowthKind.FINITE_PATHS, paths[comp_of[a.start]])
 
 
 def count_words(a: Automaton, n: int) -> int:
@@ -327,9 +309,11 @@ def growth_rate(a: Automaton) -> float:
     """
     if a.start is None:
         return 0.0
-    comps, _comp_of, internal = _component_stats(a)
     best = 0.0
-    for comp, edges in zip(comps, internal):
+    for comp in strongly_connected_components(a.transitions):
+        idx = {s: i for i, s in enumerate(comp)}
+        succ = [[idx[t] for t in a.transitions[s] if t in idx] for s in comp]
+        edges = sum(map(len, succ))
         if edges == 0:
             continue
         if edges == len(comp):
@@ -340,9 +324,6 @@ def growth_rate(a: Automaton) -> float:
                 f"a branching component of {len(comp)} states exceeds "
                 f"MAX_PERRON_STATES = {MAX_PERRON_STATES}; its growth rate "
                 "is not computed")
-        idx = {s: i for i, s in enumerate(comp)}
-        succ = [[idx[t] for t in a.transitions[s] if t is not None and t in idx]
-                for s in comp]
         best = max(best, _perron_root(succ))
     return best
 

@@ -67,13 +67,6 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
         return hi
     if (flo > 0) == (fhi > 0):
         raise ValueError(f"no sign change over [{lo}, {hi}]")
-    return _halve(f, lo, hi, flo > 0, tol)
-
-
-def _halve(f: Callable[[float], float], lo: float, hi: float,
-           lo_positive: bool, tol: float) -> float:
-    """Bisection of a bracket whose ends are known to have opposite
-    signs, the sign at ``lo`` given; f is not evaluated at the ends."""
     for _ in range(200):
         if hi - lo <= tol:
             break
@@ -81,7 +74,7 @@ def _halve(f: Callable[[float], float], lo: float, hi: float,
         fm = f(mid)
         if fm == 0.0:
             return mid
-        if (fm > 0) == lo_positive:
+        if (fm > 0) == (flo > 0):
             lo = mid
         else:
             hi = mid
@@ -121,11 +114,13 @@ def solve_pi_root(seq: EPSeq, form: str, m: float) -> float:
     (2, R(m)).  The bracket is halved to width 1e-12, and the returned
     base q satisfies |residual(q)| < 1e-10.
     """
-    residual = _residual_fn(seq, form, m)
+    # bisect_root evaluates both ends again: the cache keeps it to one
+    # residual evaluation per base
+    residual = lru_cache(maxsize=2)(_residual_fn(seq, form, m))
     lo, hi = 2.0, R(m)
     if not residual(lo) > 0 > residual(hi):
         raise ValueError(f"residual does not change sign over [{lo}, {hi}]")
-    root = _halve(residual, lo, hi, True, 1e-12)
+    root = bisect_root(residual, lo, hi, 1e-12)
     res = residual(root)
     if abs(res) >= 1e-10:
         raise ValueError(f"residual {res} at root exceeds tolerance")

@@ -114,9 +114,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def digits(self) -> tuple[float, ...]:
-        return tuple(self.alphabet.digits[s] for s in self.symbols)
-
     def text(self) -> str:
         return "".join(self.alphabet.chars[s] for s in self.symbols)
 
@@ -339,14 +336,3 @@ def require_zero_free(alphabet: Alphabet, symbols, m: float) -> None:
         if digits[s] != 1.0 and digits[s] != m:
             raise ValueError("needs a zero-free sequence over {1, m}, "
                              f"got digit {digits[s]}")
-
-
-def shift(seq: EPSeq, n: int) -> EPSeq:
-    """Drop the first n symbols."""
-    if n < 0:
-        raise ValueError("shift distance must be nonnegative")
-    pre, per = seq.preperiod, seq.period
-    if n <= len(pre):
-        return EPSeq(seq.alphabet, pre[n:], per)
-    k = (n - len(pre)) % len(per)
-    return EPSeq(seq.alphabet, (), per[k:] + per[:k])

@@ -27,12 +27,12 @@ from .sequences import (
     _horner,
     pi_eval,
     require_zero_free,
-    shift,
 )
 
-# Longest sequence (preperiod plus period) the two checkers take: they
-# evaluate one tail per symbol, so a verdict's time grows with the
-# square of the length (about 0.3 s here, hours at 10**6 symbols).
+# Longest sequence (preperiod plus period) the two checkers take.  The
+# preperiod's tails come from one backward pass and each tail in the
+# period from one Horner pass over a rotation of it, so a verdict costs
+# O(pre + p**2) for a period of p symbols.
 MAX_VERDICT_SYMBOLS = 2048
 
 # Symbols of each extreme concatenation certify_family expands exactly;
@@ -97,15 +97,28 @@ def _worst_witness(seq: EPSeq, q: float, only: int | None = None) -> Witness | N
         raise ValueError(f"the sequence has {length} symbols; a verdict "
                          f"takes at most {MAX_VERDICT_SYMBOLS}")
     digits = seq.alphabet.digits
+    pre, per = seq.preperiod, seq.period
     top = len(digits) - 1
     lo_tail = digits[0] / (q - 1.0)
     hi_tail = digits[-1] / (q - 1.0)
+    # The tail after position n is pi_eval of the sequence with its
+    # first n symbols dropped, computed with the same float operations.
+    # heads[k] is _horner of the last k symbols of the preperiod.
+    heads = [0.0]
+    for s in reversed(pre):
+        heads.append((heads[-1] + digits[s]) / q)
+    den = 1.0 - q ** -len(per)
+    sv = _horner(per, digits, q)
     found = []
     for n in range(1, length + 1):
         j = seq.symbol(n - 1)
         if only is not None and j != only:
             continue
-        tail = pi_eval(shift(seq, n), q)
+        if n <= len(pre):
+            tail = heads[len(pre) - n] + q ** (n - len(pre)) * sv / den
+        else:
+            k = (n - len(pre)) % len(per)
+            tail = _horner(per[k:] + per[:k], digits, q) / den
         if j < top:
             slack = (digits[j + 1] - digits[j]) - (tail - lo_tail)
             found.append(_witness(n, "raise", slack))

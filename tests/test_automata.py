@@ -8,13 +8,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from univoque._rounding import round_root
 from univoque.automata import (
     MAX_PERRON_STATES,
     ZERO_FREE_SYMBOLS,
     Automaton,
+    GrowthClass,
     GrowthKind,
     _exceeds_root,
     build_safety_automaton,
@@ -403,6 +404,63 @@ def test_stored_form_is_trimmed_breadth_first_and_keeps_the_language(table, n):
         assert all(any(t is not None for t in row) for row in a.transitions)
     assert rebuilt(a) == a
     assert count_words(a, n) == _extendable_walks(rows, start, n)
+
+
+def _reference_classify_growth(a):
+    """Growth class in three traversals: a branching check over the
+    components, a search of the condensation from each cycle, and a
+    memoized count of the infinite paths from the start."""
+    if a.start is None:
+        return GrowthClass(GrowthKind.EMPTY, 0)
+    comps = strongly_connected_components(a.transitions)
+    comp_of = {s: ci for ci, comp in enumerate(comps) for s in comp}
+    internal = [sum(1 for s in comp for t in a.transitions[s] if t in comp)
+                for comp in comps]
+    for comp, edges in zip(comps, internal):
+        if edges > len(comp):
+            return GrowthClass(GrowthKind.UNCOUNTABLE, None, comp)
+
+    cyclic = [ci for ci, comp in enumerate(comps) if internal[ci] == len(comp)]
+    succ_comps = {ci: set() for ci in range(len(comps))}
+    for s, _i, t in a.edges():
+        if comp_of[s] != comp_of[t]:
+            succ_comps[comp_of[s]].add(comp_of[t])
+    for ci in cyclic:
+        seen, frontier = set(), [ci]
+        while frontier:
+            for d in succ_comps[frontier.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    frontier.append(d)
+        linked = sorted(seen & set(cyclic))
+        if linked:
+            evidence = tuple(sorted(comps[ci] + comps[linked[0]]))
+            return GrowthClass(GrowthKind.COUNTABLY_INFINITE, None, evidence)
+
+    cyclic_states = {s for ci in cyclic for s in comps[ci]}
+    memo = {}
+
+    def paths(s):
+        if s not in memo:
+            memo[s] = 1 if s in cyclic_states else sum(
+                paths(t) for t in a.transitions[s] if t is not None)
+        return memo[s]
+
+    return GrowthClass(GrowthKind.FINITE_PATHS, paths(a.start))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.text(alphabet="1m", min_size=1, max_size=7), min_size=1, max_size=8)
+    .map(build_safety_automaton),
+    raw_tables().map(lambda table: Automaton(*table))))
+# a loop at 0 reaching two sink loops through state 1: the evidence
+# pairs it with the lower-numbered one
+@example(Automaton(((0, 1), (2, 3), (2, None), (3, None)), 0))
+# both edges of the start enter the one cycle: 2 paths, not 1
+@example(build_safety_automaton(["11", "mm"]))
+def test_growth_class_matches_the_three_traversal_route(a):
+    assert classify_growth(a) == _reference_classify_growth(a)
 
 
 def test_every_trimmed_state_has_an_outgoing_edge():

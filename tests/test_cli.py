@@ -304,6 +304,10 @@ GOLDEN_STDOUT = {
         "9b403e31670d585263f515d1c9bb59a4cec4408c288aec3a5c8cadc2fd299122",
     ("automaton", "--scan", "3", "2.5", "16", "--classify"):
         "6977ca1605a21f93b581fca9b5cdbc25e8120a526c40b8a64f888b7b32cac7cd",
+    # CountablyInfinite, evidence [1, 2, 3, 4, 5, 6]
+    ("automaton", "--scan", "3", "2.37019910851", "7", "--blocks", "1mm1m11mm1",
+     "--classify"):
+        "69393d4c5a467bfbee08b3d55009921991a9fb0585617cecb884f8451a9b7176",
     ("check", "mm1(m11m)^w", "--q", "2.37", "--ternary", "--m", "3"):
         "7b77a821eb74f3383d0b98669b65b66615a84e6f3fab71f708270c0c2e717f3b",
     ("check", "11(m1)^w", "--q", "2.3", "--general", "--m", "3"):

@@ -19,7 +19,6 @@ from univoque.sequences import (
     pi_complement,
     pi_eval,
     pi_word,
-    shift,
 )
 
 T3 = Alphabet.ternary(3)
@@ -69,7 +68,6 @@ def test_parse_finite_word():
     assert isinstance(w, Word)
     assert w.symbols == (1, 1, 2)
     assert w.text() == "11m"
-    assert w.digits() == (1.0, 1.0, 3.0)
 
 
 def test_repeat_counts_expand():
@@ -243,7 +241,7 @@ def test_pi_complement_requires_zero_free_digits():
         pi_complement(parse_seq("(1m)^w", T3), 4.0, 2.5)
 
 
-# --- order and shifts -------------------------------------------------------
+# --- order and the tail recurrence ------------------------------------------
 
 def test_lex_order_agrees_with_pi_above_saturation():
     """Above 1 + span/min_gap the value map is strictly increasing in
@@ -262,26 +260,20 @@ def test_lex_order_agrees_with_pi_above_saturation():
         assert pi_eval(a, q) < pi_eval(b, q)
 
 
-@given(pre=sym_lists, per=periods, n=st.integers(0, 20))
-def test_shift_drops_a_prefix(pre, per, n):
-    seq = EPSeq(T3, tuple(pre), tuple(per))
-    shifted = shift(seq, n)
-    for i in range(12):
-        assert shifted.symbol(i) == seq.symbol(n + i)
-
-
-def test_shift_value_identity():
+def test_pi_drops_the_first_digit():
+    """pi_q(c) = (c_1 + pi_q(c_2 c_3 ...)) / q, with the shifted sequence
+    built from the preperiod, or from the period rotated by one."""
     rng = random.Random(5150)
     for _ in range(300):
         pre = tuple(rng.randrange(3) for _ in range(rng.randrange(5)))
         per = tuple(rng.randrange(3) for _ in range(1, rng.randrange(1, 5) + 1))
         seq = EPSeq(T3, pre, per)
+        pre, per = seq.preperiod, seq.period
+        if pre:
+            rest = EPSeq(T3, pre[1:], per)
+        else:
+            rest = EPSeq(T3, (), per[1:] + per[:1])
         q = rng.uniform(1.2, 3.8)
         lhs = pi_eval(seq, q)
-        rhs = seq.digit(0) / q + pi_eval(shift(seq, 1), q) / q
+        rhs = seq.digit(0) / q + pi_eval(rest, q) / q
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-def test_shift_rejects_negative():
-    with pytest.raises(ValueError):
-        shift(parse_seq("1^w", T3), -1)

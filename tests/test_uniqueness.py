@@ -8,9 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from univoque import uniqueness
 from univoque.critical import COMPLEMENT, R, bisect_root, r_of_m, solve_pi_root
-from univoque.sequences import Alphabet, EPSeq, Word, parse_seq, pi_complement
+from univoque.sequences import (
+    EPS_CMP,
+    Alphabet,
+    EPSeq,
+    Word,
+    parse_seq,
+    pi_complement,
+    pi_eval,
+)
 from univoque.uniqueness import (
     VerdictKind,
+    Witness,
     certify_family,
     check_univoque_general,
     check_v_membership,
@@ -226,6 +235,63 @@ def test_membership_agrees_with_general_checker():
         assert special.kind is general.kind
         agreements += 1
     assert agreements > 300
+
+
+def _dropped(seq, n):
+    """``seq`` with its first n symbols dropped, built as a new EPSeq."""
+    pre, per = seq.preperiod, seq.period
+    if n <= len(pre):
+        return EPSeq(seq.alphabet, pre[n:], per)
+    k = (n - len(pre)) % len(per)
+    return EPSeq(seq.alphabet, (), per[k:] + per[:k])
+
+
+def _reference_worst_witness(seq, q, only=None):
+    """The checkers' condition loop with each tail evaluated as pi_eval
+    of the sequence with its first n symbols dropped, O(L) per position:
+    the route the checkers' one-pass tails must reproduce bit for bit."""
+    digits = seq.alphabet.digits
+    lo_tail = digits[0] / (q - 1.0)
+    hi_tail = digits[-1] / (q - 1.0)
+    found = []
+    for n in range(1, len(seq.preperiod) + len(seq.period) + 1):
+        j = seq.symbol(n - 1)
+        if only is not None and j != only:
+            continue
+        tail = pi_eval(_dropped(seq, n), q)
+        slacks = []
+        if j < len(digits) - 1:
+            slacks.append(("raise", (digits[j + 1] - digits[j]) - (tail - lo_tail)))
+        if j > 0:
+            slacks.append(("lower", (digits[j] - digits[j - 1]) - (hi_tail - tail)))
+        found += [Witness(n, side, slack, abs(slack) <= EPS_CMP)
+                  for side, slack in slacks]
+    return min(found, key=lambda w: w.slack, default=None)
+
+
+_SYMBOLS = st.lists(st.integers(0, 4), max_size=14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digits=st.lists(st.integers(-6, 12), min_size=2, max_size=5, unique=True),
+       pre=_SYMBOLS, per=_SYMBOLS.filter(bool), q=st.floats(1.05, 6.0))
+def test_general_witness_matches_the_dropped_prefix_route(digits, pre, per, q):
+    alphabet = Alphabet.from_digits(sorted(d / 2 for d in digits))
+    k = len(digits)
+    seq = EPSeq(alphabet, tuple(s % k for s in pre), tuple(s % k for s in per))
+    # Witness equality compares the slacks with ==
+    assert check_univoque_general(seq, q).witness == _reference_worst_witness(seq, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.floats(2.0, 6.0), pre=_SYMBOLS, per=_SYMBOLS.filter(bool),
+       q=st.floats(2.001, 4.0))
+def test_membership_witness_matches_the_dropped_prefix_route(m, pre, per, q):
+    # over {1, m}: symbol 1 or 2 of {0, 1, m}
+    seq = EPSeq(Alphabet.ternary(m), tuple(1 + s % 2 for s in pre),
+                tuple(1 + s % 2 for s in per))
+    assert check_v_membership(seq, m, q).witness == \
+        _reference_worst_witness(seq, q, only=1)
 
 
 # --- forbidden blocks -------------------------------------------------------
