@@ -284,17 +284,13 @@ def count_words(a: Automaton, n: int) -> int:
     """
     if not 0 <= n <= 64:
         raise ValueError(f"n must be between 0 and 64, got {n}")
-    if a.start is None:
-        return 0
-    counts = {a.start: 1}
+    # f[s] counts the length-k paths from s; f[n_states] (no edge) stays 0
+    rows = [[a.n_states if t is None else t for t in row] for row in a.transitions]
+    f = [1] * a.n_states + [0]
     for _ in range(n):
-        nxt: dict[int, int] = {}
-        for s, c in counts.items():
-            for t in a.transitions[s]:
-                if t is not None:
-                    nxt[t] = nxt.get(t, 0) + c
-        counts = nxt
-    return sum(counts.values())
+        f = [f[x] + f[y] for x, y in rows]
+        f.append(0)
+    return 0 if a.start is None else f[a.start]
 
 
 def growth_rate(a: Automaton) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 # Margin used when a strict inequality has to be decided in floating
 # point.  Values closer than this to a threshold are boundary cases.
@@ -69,7 +68,6 @@ class Alphabet:
                 raise ValueError(f"invalid digit character {c!r}")
 
     @classmethod
-    @lru_cache(maxsize=8)  # a block scan asks for one per tested word
     def ternary(cls, m: float) -> Alphabet:
         """The alphabet {0, 1, m} with m >= 2, written '0', '1', 'm'."""
         if not m >= 2:
@@ -296,13 +294,18 @@ def _horner(symbols, digits, q: float) -> float:
     return s
 
 
-def pi_eval(seq: EPSeq, q: float) -> float:
-    """Value of the infinite series sum c_i / q**i (closed form)."""
-    _require_base(q)
-    digits, pre, per = seq.alphabet.digits, seq.preperiod, seq.period
+def _pi_closed(pre, per, digits, q: float) -> float:
+    """pi_q of pre per^inf with symbols read through ``digits``: the closed
+    form of pi_eval, which the block test also runs on plain strings."""
     su = _horner(pre, digits, q)
     sv = _horner(per, digits, q)
     return su + q ** (-len(pre)) * sv / (1.0 - q ** (-len(per)))
+
+
+def pi_eval(seq: EPSeq, q: float) -> float:
+    """Value of the infinite series sum c_i / q**i (closed form)."""
+    _require_base(q)
+    return _pi_closed(seq.preperiod, seq.period, seq.alphabet.digits, q)
 
 
 def pi_word(word: Word, q: float) -> float:

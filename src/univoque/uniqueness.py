@@ -25,7 +25,7 @@ from .sequences import (
     EPSeq,
     Word,
     _horner,
-    pi_eval,
+    _pi_closed,
     require_zero_free,
 )
 
@@ -177,30 +177,40 @@ def _block_symbols(block: str, alphabet: Alphabet) -> tuple[int, ...]:
     return tuple(syms)
 
 
-def is_forbidden_block(w: str, m: float, q: float) -> bool:
-    """True when the block 1w cannot occur in any zero-free unique sequence.
-
-    ``w`` is a nonempty string over '1' and 'm'.  After the leading 1,
-    every admissible tail starts with w, so if even the smallest
-    completion w 1^inf reaches m - 1, or even the largest completion
-    w m^inf stays within m/(q-1) - 1, one of the two digit-1 conditions
-    fails.  Valid for 2 < q <= 1 + m/(m-1).  The comparisons are
-    lenient: a bound within ``EPS_CMP`` of its threshold counts as
-    reaching it, so a block that only touches a threshold is declared
-    forbidden.
-    """
+def _require_block_params(m: float, q: float) -> None:
+    """ValueError unless m is finite and at least 2 and 2 < q <= 1 + m/(m-1)."""
     if not m >= 2:
         raise ValueError(f"m must be at least 2, got {m}")
+    if m == math.inf:
+        raise ValueError(f"m must be finite, got {m}")
     r_cap = 1.0 + m / (m - 1.0)
     if not 2 < q <= r_cap + EPS_CMP:
         raise ValueError(f"q={q} outside (2, {r_cap}]")
-    alphabet = Alphabet.ternary(m)
-    symbols = _block_symbols(w, alphabet)
-    if not symbols:
+
+
+def is_forbidden_block(w: str, m: float, q: float) -> bool:
+    """True when the block 1w cannot occur in any zero-free unique sequence.
+
+    ``w`` is a nonempty str over '1' and 'm'.  After the leading 1,
+    every admissible tail starts with w, so if even the smallest
+    completion w 1^inf reaches m - 1, or even the largest completion
+    w m^inf stays within m/(q-1) - 1, one of the two digit-1 conditions
+    fails (both valued by pi_eval's closed form, bit for bit).  Valid
+    for 2 < q <= 1 + m/(m-1).  The comparisons are lenient: a bound
+    within ``EPS_CMP`` of its threshold counts as reaching it, so a
+    block that only touches a threshold is declared forbidden.
+    """
+    _require_block_params(m, q)
+    if not isinstance(w, str):
+        raise TypeError(f"w must be a str, got {type(w).__name__}")
+    if w.strip("1m"):  # a character other than '1' and 'm'
+        _block_symbols(w, Alphabet.ternary(m))  # raises, naming it
+    if not w:
         raise ValueError("w must be nonempty")
-    # the completions w 1^inf and w m^inf
-    lowest = pi_eval(EPSeq(alphabet, symbols, (1,)), q)
-    highest = pi_eval(EPSeq(alphabet, symbols, (2,)), q)
+    # canonical forms, as EPSeq stores them: a trailing run joins the period
+    digits = {"1": 1.0, "m": float(m)}
+    lowest = _pi_closed(w.rstrip("1"), "1", digits, q)
+    highest = _pi_closed(w.rstrip("m"), "m", digits, q)
     return lowest >= m - 1.0 - EPS_CMP or highest <= m / (q - 1.0) - 1.0 + EPS_CMP
 
 
@@ -226,6 +236,7 @@ def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
     """
     if not 1 <= lmax <= 16:
         raise ValueError("lmax must be between 1 and 16")
+    _require_block_params(m, q)  # also where lmax = 1 tests no word
     kept: list[str] = []
     frontier = [""]
     for _ in range(2, lmax + 1):

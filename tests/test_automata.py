@@ -463,6 +463,35 @@ def test_growth_class_matches_the_three_traversal_route(a):
     assert classify_growth(a) == _reference_classify_growth(a)
 
 
+def _reference_count_words(a, n):
+    """count_words as a forward dict of path counts from the start,
+    stepped n times and summed: the route the backward list DP must
+    reproduce exactly."""
+    if a.start is None:
+        return 0
+    counts = {a.start: 1}
+    for _ in range(n):
+        nxt = {}
+        for s, c in counts.items():
+            for t in a.transitions[s]:
+                if t is not None:
+                    nxt[t] = nxt.get(t, 0) + c
+        counts = nxt
+    return sum(counts.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.text(alphabet="1m", min_size=1, max_size=7), min_size=0, max_size=8)
+    .map(build_safety_automaton),
+    raw_tables().map(lambda table: Automaton(*table))),
+    st.integers(0, 64))
+@example(build_safety_automaton(["1", "m"]), 64)
+@example(build_safety_automaton([]), 64)
+def test_count_words_matches_the_forward_dict_route(a, n):
+    assert count_words(a, n) == _reference_count_words(a, n)
+
+
 def test_every_trimmed_state_has_an_outgoing_edge():
     rng = random.Random(10)
     for _ in range(30):

@@ -383,6 +383,15 @@ def test_automaton_scan_rejects_non_finite_numbers(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("q", ["99", "1.5"])
+def test_automaton_scan_validates_q_at_lmax_one(capsys, q):
+    # lmax 1 tests no word; the scan still refuses a q outside (2, R(m)]
+    code, out, err = run(capsys, "automaton", "--scan", "3", q, "1", "--classify")
+    assert code == 2
+    assert out == ""
+    assert f"q={float(q)} outside" in err
+
+
 def test_automaton_scan_needs_an_integer_lmax(capsys):
     code, out, err = run(capsys, "automaton", "--scan", "3", "2.37019910851",
                          "7.9", "--classify")

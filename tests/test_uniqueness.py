@@ -1,10 +1,11 @@
 """Tests for uniqueness verdicts, forbidden blocks, and certificates."""
 
+import math
 import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from univoque import uniqueness
 from univoque.critical import COMPLEMENT, R, bisect_root, r_of_m, solve_pi_root
@@ -13,6 +14,7 @@ from univoque.sequences import (
     Alphabet,
     EPSeq,
     Word,
+    _pi_closed,
     parse_seq,
     pi_complement,
     pi_eval,
@@ -337,6 +339,86 @@ def test_forbidden_block_validates_inputs():
         is_forbidden_block("", 3.0, 2.3)
     with pytest.raises(ValueError):
         is_forbidden_block("1x", 3.0, 2.3)
+
+
+def test_forbidden_block_names_a_non_finite_m_and_a_non_str_w():
+    with pytest.raises(ValueError, match="m must be finite, got inf"):
+        is_forbidden_block("1m", math.inf, 2.3)
+    # a list of characters was once accepted as a block
+    with pytest.raises(TypeError, match="w must be a str, got list"):
+        is_forbidden_block(["1", "m"], 3.0, 2.3)
+    with pytest.raises(TypeError, match="w must be a str, got tuple"):
+        is_forbidden_block((1, 2), 3.0, 2.3)
+
+
+def test_scan_validates_m_and_q_even_when_it_tests_no_word():
+    # lmax = 1 tests no word, so no block test can catch these
+    for lmax in (1, 2):
+        with pytest.raises(ValueError, match=r"q=99 outside \(2, 2.5\]"):
+            scan_forbidden(3, 99, lmax)
+        with pytest.raises(ValueError, match=r"q=1.5 outside"):
+            scan_forbidden(3, 1.5, lmax)
+        with pytest.raises(ValueError, match="m must be at least 2"):
+            scan_forbidden(1.5, 2.3, lmax)
+        with pytest.raises(ValueError, match="m must be finite"):
+            scan_forbidden(math.inf, 2.3, lmax)
+
+
+R3 = r_of_m(3.0)
+# scan_forbidden(3.0, r(3), 16)
+R3_BLOCKS = ("111", "1mmm", "11m11", "11m1m1", "1mm1mm", "11m1mm1", "1mm1m1m",
+             "1mm1m11mm1m", "1mm1m11mm11mm1m")
+
+
+def _reference_is_forbidden_block(w, m, q):
+    """The block test's two bounds and its verdict, with the completions
+    built as EPSeqs over {0, 1, m} and valued by pi_eval: the route the
+    closed form on plain strings must reproduce bit for bit."""
+    alphabet = Alphabet.ternary(m)
+    symbols = tuple(alphabet.index_of_char(c) for c in w)
+    lowest = pi_eval(EPSeq(alphabet, symbols, (1,)), q)
+    highest = pi_eval(EPSeq(alphabet, symbols, (2,)), q)
+    forbidden = (lowest >= m - 1.0 - EPS_CMP
+                 or highest <= m / (q - 1.0) - 1.0 + EPS_CMP)
+    return lowest, highest, forbidden
+
+
+# (m, q) with q in (2, R(m)], m an int or a float
+_BLOCK_PARAMS = st.one_of(st.integers(2, 6), st.floats(2.0, 6.0)).flatmap(
+    lambda m: st.tuples(st.just(m), st.floats(2.0, R(m), exclude_min=True)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(w=st.text(alphabet="1m", min_size=1, max_size=16), params=_BLOCK_PARAMS)
+def test_block_bounds_match_the_epseq_route(w, params):
+    m, q = params
+    bounds = []
+
+    def recording(*args):
+        bounds.append(_pi_closed(*args))
+        return bounds[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uniqueness, "_pi_closed", recording)
+        verdict = is_forbidden_block(w, m, q)
+    lowest, highest, forbidden = _reference_is_forbidden_block(w, m, q)
+    assert bounds == [lowest, highest]
+    assert verdict is forbidden
+
+
+for _block in R3_BLOCKS:
+    test_block_bounds_match_the_epseq_route = example(
+        w=_block[1:], params=(3.0, R3))(test_block_bounds_match_the_epseq_route)
+
+
+def test_scan_builds_no_epseq(monkeypatch):
+    def refuse(self):
+        raise AssertionError("EPSeq built during a scan")
+
+    monkeypatch.setattr(EPSeq, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        EPSeq(T3, (), (1,))
+    assert [w.text() for w in scan_forbidden(3.0, R3, 16)] == list(R3_BLOCKS)
 
 
 def test_forbidden_blocks_kill_membership():
