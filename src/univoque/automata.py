@@ -15,7 +15,7 @@ transition tables and DOT exports reproducible byte for byte.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -38,13 +38,15 @@ class Automaton:
     the blocks the automaton was built from (metadata only).
 
     The table given is validated and then stored in normal form (see
-    :func:`_normal_form`); building it again from its stored table
-    gives an equal automaton.
+    :func:`_normal_form`), with its strongly connected components,
+    sinks first, in ``components``; building it again from its stored
+    table gives an equal automaton.
     """
 
     transitions: tuple[tuple[int | None, ...], ...]
     start: int | None
     forbidden: tuple[str, ...] = ()
+    components: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(self.transitions)
@@ -56,9 +58,9 @@ class Automaton:
             for t in row:
                 if t is not None and not 0 <= t < n:
                     raise ValueError(f"state {s}: target {t} out of range")
-        rows, start = _normal_form(self.transitions, self.start)
-        object.__setattr__(self, "transitions", rows)
-        object.__setattr__(self, "start", start)
+        normal = _normal_form(self.transitions, self.start)
+        for name, value in zip(("transitions", "start", "components"), normal):
+            object.__setattr__(self, name, value)
 
     @property
     def n_states(self) -> int:
@@ -73,6 +75,8 @@ class Automaton:
 
 
 def _as_text(block: str) -> str:
+    if not isinstance(block, str):
+        raise TypeError(f"block must be a str, got {type(block).__name__}")
     if not block:
         raise ValueError("forbidden block must be nonempty")
     for ch in block:
@@ -84,8 +88,9 @@ def _as_text(block: str) -> str:
 def build_safety_automaton(blocks: Iterable[str]) -> Automaton:
     """Build the pruned factor automaton avoiding the given blocks,
     each a nonempty string over '1' and 'm'."""
-    texts = sorted({_as_text(b) for b in blocks},
-                   key=lambda t: (len(t), t))
+    if isinstance(blocks, str):
+        raise TypeError("blocks must be an iterable of str, not a str")
+    texts = sorted({_as_text(b) for b in blocks}, key=lambda t: (len(t), t))
 
     children: list[dict[str, int]] = [{}]
     terminal = [False]
@@ -124,37 +129,32 @@ def build_safety_automaton(blocks: Iterable[str]) -> Automaton:
     return Automaton(tuple(rows), 0, tuple(texts))
 
 
-def _normal_form(transitions: Sequence[Sequence[int | None]], start: int | None,
-                 ) -> tuple[tuple[tuple[int | None, ...], ...], int | None]:
+def _normal_form(transitions: Sequence[Sequence[int | None]], start: int | None):
     """The table restricted to the states on an infinite path from the
-    start, numbered breadth-first ('1' before 'm'), and its start;
-    ``((), None)`` when there is no such path."""
-    if start is None:
-        return (), None
-    # a state is dead once none of its edges leads to a live state
-    live_edges = [sum(t is not None for t in row) for row in transitions]
-    preds: list[list[int]] = [[] for _ in transitions]
-    for s, row in enumerate(transitions):
-        for t in row:
-            if t is not None:
-                preds[t].append(s)
-    dead = [s for s, k in enumerate(live_edges) if k == 0]
-    for t in dead:  # grows while it is read
-        for s in preds[t]:
-            live_edges[s] -= 1
-            if live_edges[s] == 0:
-                dead.append(s)
-    if live_edges[start] == 0:
-        return (), None
-    relabel = {start: 0}
-    order = [start]
+    start, numbered breadth-first ('1' before 'm'), its start, and its
+    components in Tarjan's order; ``((), None, ())`` if there is none.
+
+    A component is live when it has an internal edge or one into a live
+    component.  No dead state leads to a live one: a dead start keeps
+    nothing, and the rest keep their breadth-first and Tarjan orders.
+    """
+    order = [] if start is None else [start]
+    relabel = dict.fromkeys(order, 0)
     for s in order:  # grows while it is read
         for t in transitions[s]:
-            if t is not None and live_edges[t] and t not in relabel:
+            if t is not None and t not in relabel:
                 relabel[t] = len(order)
                 order.append(t)
-    rows = tuple(tuple(relabel.get(t) for t in transitions[s]) for s in order)
-    return rows, 0
+    table = [[relabel.get(t) for t in transitions[s]] for s in order]
+    comps = strongly_connected_components(table)
+    live: set[int] = set()
+    for comp in comps:  # sinks first: the edges leaving comp are settled
+        if len(comp) > 1 or any(t in live or t == comp[0] for t in table[comp[0]]):
+            live.update(comp)
+    keep = {s: i for i, s in enumerate(sorted(live))}
+    rows = tuple(tuple(keep.get(t) for t in table[s]) for s in keep)
+    live_comps = tuple(tuple(keep[s] for s in c) for c in comps if c[0] in live)
+    return rows, 0 if rows else None, live_comps
 
 
 def strongly_connected_components(
@@ -173,39 +173,38 @@ def strongly_connected_components(
     for root in range(n):
         if index[root] != -1:
             continue
-        call: list[tuple[int, int]] = [(root, 0)]
+        call = [(root, iter(transitions[root]))]  # a state and its unread edges
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on[root] = True
         while call:
-            v, pos = call.pop()
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on[v] = True
-            succs = [t for t in transitions[v] if t is not None]
-            descended = False
-            for i in range(pos, len(succs)):
-                w = succs[i]
+            v, edges = call[-1]
+            for w in edges:
+                if w is None:
+                    continue
                 if index[w] == -1:
-                    call.append((v, i + 1))
-                    call.append((w, 0))
-                    descended = True
+                    call.append((w, iter(transitions[w])))
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on[w] = True
                     break
-                if on[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if call:
-                parent = call[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
+                if on[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:  # every edge of v is read
+                call.pop()
+                if call and low[v] < low[call[-1][0]]:
+                    low[call[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(tuple(sorted(comp)))
     return comps
 
 
@@ -234,17 +233,17 @@ def classify_growth(a: Automaton) -> GrowthClass:
     """Decide whether the avoiding sequences form an empty, finite,
     countably infinite, or uncountable set.
 
-    One pass over the components in the order Tarjan's algorithm lists
-    them, sinks first, so each edge out of a component leads to one
-    already seen.  A branching component means Uncountable, and a cycle
-    that reaches another cycle CountablyInfinite, with the first such
-    cycle and the lowest-numbered cycle it reaches as evidence.
+    One pass over ``a.components``, which the normal form stores in
+    Tarjan's order, sinks first, so each edge out of a component leads
+    to one already seen.  A branching component means Uncountable, and a
+    cycle that reaches another cycle CountablyInfinite, with the first
+    such cycle and the lowest-numbered cycle it reaches as evidence.
     Otherwise the infinite paths are counted: 1 from a cycle, and from
     any other state the sum over its out-edges.
     """
     if a.start is None:
         return GrowthClass(GrowthKind.EMPTY, 0)
-    comps = strongly_connected_components(a.transitions)
+    comps = a.components
     comp_of = {s: ci for ci, comp in enumerate(comps) for s in comp}
     no_cycle = len(comps)
     # lowest[ci]: the lowest-numbered cycle reachable from component ci,
@@ -295,8 +294,8 @@ def count_words(a: Automaton, n: int) -> int:
 
 def growth_rate(a: Automaton) -> float:
     """Exponential growth rate of the factor counts: the largest
-    spectral radius over strongly connected components, correctly
-    rounded to a float.
+    spectral radius over the stored components ``a.components``,
+    correctly rounded to a float.
 
     A component without internal edges contributes nothing, a single
     cycle exactly 1.0, and a branching component the Perron root of its
@@ -306,7 +305,7 @@ def growth_rate(a: Automaton) -> float:
     if a.start is None:
         return 0.0
     best = 0.0
-    for comp in strongly_connected_components(a.transitions):
+    for comp in a.components:
         idx = {s: i for i, s in enumerate(comp)}
         succ = [[idx[t] for t in a.transitions[s] if t in idx] for s in comp]
         edges = sum(map(len, succ))

@@ -44,15 +44,15 @@ COMPLEMENT = "complement"
 
 def P(m: float) -> float:
     """Lower bracket curve: 1 + sqrt(m/(m-1)); satisfies (m-1)P(P-2) = 1."""
-    if not m > 1:
-        raise ValueError(f"m must exceed 1, got {m}")
+    if not 1 < m < math.inf:
+        raise ValueError(f"m must be finite and exceed 1, got {m}")
     return 1.0 + math.sqrt(m / (m - 1.0))
 
 
 def R(m: float) -> float:
     """Upper bracket curve: 1 + m/(m-1); satisfies (m-1)(R-2) = 1."""
-    if not m > 1:
-        raise ValueError(f"m must exceed 1, got {m}")
+    if not 1 < m < math.inf:
+        raise ValueError(f"m must be finite and exceed 1, got {m}")
     return 1.0 + m / (m - 1.0)
 
 

@@ -279,8 +279,8 @@ def format_seq(x: EPSeq | Word) -> str:
 # --- evaluation -----------------------------------------------------------
 
 def _require_base(q: float) -> None:
-    if not q > 1:
-        raise ValueError(f"base must exceed 1, got {q}")
+    if not 1 < q < math.inf:
+        raise ValueError(f"base must be finite and exceed 1, got {q}")
 
 
 def _horner(symbols, digits, q: float) -> float:

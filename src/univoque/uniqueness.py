@@ -26,6 +26,7 @@ from .sequences import (
     Word,
     _horner,
     _pi_closed,
+    _require_base,
     require_zero_free,
 )
 
@@ -135,8 +136,7 @@ def check_univoque_general(seq: EPSeq, q: float) -> Verdict:
     alphabet's necessity threshold only means the sufficient test was
     inconclusive.  Longer than MAX_VERDICT_SYMBOLS raises ValueError.
     """
-    if not q > 1:
-        raise ValueError(f"base must exceed 1, got {q}")
+    _require_base(q)
     return _decide(_worst_witness(seq, q), q, seq.alphabet.necessity_threshold)
 
 
@@ -151,8 +151,8 @@ def check_v_membership(seq: EPSeq, m: float, q: float) -> Verdict:
     """
     if not m >= 2:
         raise ValueError(f"m must be at least 2, got {m}")
-    if not q > 2:
-        raise ValueError(f"zero-free check needs q > 2, got {q}")
+    if not 2 < q < math.inf:
+        raise ValueError(f"zero-free check needs a finite q > 2, got {q}")
     alphabet = seq.alphabet
     require_zero_free(alphabet, seq.preperiod + seq.period, m)
     if alphabet.digits[:-1] != (0.0, 1.0):
@@ -167,6 +167,8 @@ def check_v_membership(seq: EPSeq, m: float, q: float) -> Verdict:
 def _block_symbols(block: str, alphabet: Alphabet) -> tuple[int, ...]:
     """Symbols of a block string over '1' and 'm' in the ternary
     ``alphabet``; ValueError for any other character."""
+    if not isinstance(block, str):
+        raise TypeError(f"block must be a str, got {type(block).__name__}")
     syms = []
     for i, c in enumerate(block):
         s = alphabet.index_of_char(c)
@@ -300,8 +302,10 @@ def certify_family(blocks, m: float, q: float) -> bool:
     """
     if not m >= 2:
         raise ValueError(f"m must be at least 2, got {m}")
-    if not q > 2:
-        raise ValueError(f"certification needs q > 2, got {q}")
+    if not 2 < q < math.inf:
+        raise ValueError(f"certification needs a finite q > 2, got {q}")
+    if isinstance(blocks, str):
+        raise TypeError("blocks must be an iterable of str, not a str")
     alphabet = Alphabet.ternary(m)
     words = [_block_symbols(b, alphabet) for b in blocks]
     if not words:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from univoque import automata
 from univoque._rounding import round_root
 from univoque.automata import (
     MAX_PERRON_STATES,
@@ -404,6 +405,95 @@ def test_stored_form_is_trimmed_breadth_first_and_keeps_the_language(table, n):
         assert all(any(t is not None for t in row) for row in a.transitions)
     assert rebuilt(a) == a
     assert count_words(a, n) == _extendable_walks(rows, start, n)
+
+
+def _reference_normal_form(transitions, start):
+    """The stored table and start by reverse-edge propagation: a state
+    is dead once none of its edges leads to a live state, and the live
+    states reachable from the start are numbered breadth-first."""
+    if start is None:
+        return (), None
+    live_edges = [sum(t is not None for t in row) for row in transitions]
+    preds = [[] for _ in transitions]
+    for s, row in enumerate(transitions):
+        for t in row:
+            if t is not None:
+                preds[t].append(s)
+    dead = [s for s, k in enumerate(live_edges) if k == 0]
+    for t in dead:  # grows while it is read
+        for s in preds[t]:
+            live_edges[s] -= 1
+            if live_edges[s] == 0:
+                dead.append(s)
+    if live_edges[start] == 0:
+        return (), None
+    relabel = {start: 0}
+    order = [start]
+    for s in order:
+        for t in transitions[s]:
+            if t is not None and live_edges[t] and t not in relabel:
+                relabel[t] = len(order)
+                order.append(t)
+    return tuple(tuple(relabel.get(t) for t in transitions[s]) for s in order), 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_tables())
+# a dead state and an unreachable one
+@example((((1, 2), (0, None), (None, None), (0, 0)), 0))
+# the start is dead: it reaches a chain that ends
+@example((((1, None), (2, 2), (None, None)), 0))
+def test_stored_form_matches_the_reverse_propagation_route(table):
+    a = Automaton(*table)
+    assert (a.transitions, a.start) == _reference_normal_form(*table)
+
+
+_AUTOMATA = st.one_of(
+    st.lists(st.text(alphabet="1m", min_size=1, max_size=7), min_size=0, max_size=8)
+    .map(build_safety_automaton),
+    raw_tables().map(lambda table: Automaton(*table)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_AUTOMATA)
+# Tarjan's search from 0 meets the dead state 1 before the live cycle at 2
+@example(Automaton(((1, 2), (3, None), (2, 4), (None, None), (0, None)), 0))
+@example(build_safety_automaton(SEVEN_BLOCKS))
+def test_stored_components_are_tarjans_order_on_the_stored_table(a):
+    assert a.components == tuple(strongly_connected_components(a.transitions))
+
+
+def test_one_tarjan_pass_per_automaton(monkeypatch):
+    calls = []
+    tarjan = automata.strongly_connected_components
+
+    def counted(transitions):
+        calls.append(len(transitions))
+        return tarjan(transitions)
+
+    monkeypatch.setattr(automata, "strongly_connected_components", counted)
+    for blocks in (SEVEN_BLOCKS, SEVEN_BLOCKS + (EIGHTH_BLOCK,), ["1111", "mmm"]):
+        calls.clear()
+        a = build_safety_automaton(blocks)
+        assert len(calls) == 1
+        classify_growth(a)
+        growth_rate(a)
+        count_words(a, 8)
+        export_dot(a)
+        assert len(calls) == 1
+
+
+def test_block_lists_are_strings_or_nothing():
+    # a bare str once split into symbols: "11m" forbade 1 and m
+    with pytest.raises(TypeError, match="not a str"):
+        build_safety_automaton("11m")
+    # a tuple block was once stored, and export_dot then failed on it
+    with pytest.raises(TypeError, match="block must be a str, got tuple"):
+        build_safety_automaton([("1", "1")])
+    with pytest.raises(TypeError, match="block must be a str, got int"):
+        build_safety_automaton(["11", 7])
+    assert build_safety_automaton(b for b in ("11", "mm")) == \
+        build_safety_automaton(["11", "mm"])
 
 
 def _reference_classify_growth(a):

@@ -69,6 +69,14 @@ def test_bracket_curves_and_identities():
         R(0.5)
 
 
+def test_bracket_curves_refuse_a_non_finite_m():
+    # both curves once returned nan at m = inf
+    for curve in (P, R):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="m must be finite"):
+                curve(bad)
+
+
 def test_constants_match_references():
     c = compute_constants()
     for name in ("alpha", "phi", "q_1", "m_1", "m_d", "M_d", "m_4", "q_4", "m_3"):

@@ -204,6 +204,18 @@ def test_base_must_exceed_one():
             pi_eval(seq, bad)
 
 
+def test_base_must_be_finite():
+    # pi_eval once returned 0.0 at q = inf
+    seq = parse_seq("1^w", T3)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="base must be finite"):
+            pi_eval(seq, bad)
+        with pytest.raises(ValueError, match="base must be finite"):
+            pi_word(parse_seq("m01", T3), bad)
+        with pytest.raises(ValueError, match="base must be finite"):
+            pi_complement(parse_seq("(1m)^w", T3), 3.0, bad)
+
+
 def test_pi_eval_matches_truncation_within_tail_bound():
     rng = random.Random(20240811)
     for _ in range(1000):

@@ -532,3 +532,23 @@ def test_certified_concatenations_are_members():
 def test_certify_family_validates_inputs():
     with pytest.raises(ValueError):
         certify_family(["m1"], 3.0, 1.9)
+
+
+def test_certify_family_takes_blocks_as_strings():
+    # a bare str once split into one-symbol blocks
+    with pytest.raises(TypeError, match="not a str"):
+        certify_family("mm1", 4.0, 2.25)
+    with pytest.raises(TypeError, match="block must be a str, got tuple"):
+        certify_family([("m", "m", "1")], 4.0, 2.25)
+    assert certify_family((t for t in ("mm1", "mm1m1")), 4.0, 2.25)
+
+
+def test_checkers_refuse_an_infinite_base():
+    # at q = inf every tail is 0, so each check once passed
+    seq = parse_seq("(m1)^w", T3)
+    with pytest.raises(ValueError, match="base must be finite"):
+        check_univoque_general(seq, math.inf)
+    with pytest.raises(ValueError, match="finite q > 2, got inf"):
+        check_v_membership(seq, 3.0, math.inf)
+    with pytest.raises(ValueError, match="finite q > 2, got inf"):
+        certify_family(["mm1", "mm1m1"], 4.0, math.inf)
