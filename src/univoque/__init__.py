@@ -11,97 +11,46 @@ The package has four layers:
 * :mod:`univoque.automata` -- safety automata for block avoidance and
   their growth classification.
 
-The suites of ``univoque selftest`` live in :mod:`univoque.selftest`,
-which ``import univoque`` does not load.
+``import univoque`` loads none of them.  Each layer loads on first use,
+when one of its names (``univoque.r_of_m``) or the layer itself
+(``univoque.critical``) is first read, together with the layers it
+imports: ``critical`` and ``uniqueness`` read ``sequences``.  Likewise
+each subcommand of ``univoque`` loads only what it runs: ``pi``
+loads ``sequences``, ``check`` adds ``uniqueness``, ``scan-curve``
+``critical``, ``automaton`` ``automata`` (and ``uniqueness`` for
+``--scan``), and ``selftest`` all of them with the suites in
+:mod:`univoque.selftest`, which nothing else loads.
 """
 
-from .automata import (
-    Automaton,
-    GrowthClass,
-    GrowthKind,
-    build_safety_automaton,
-    classify_growth,
-    count_words,
-    export_dot,
-    growth_rate,
-    strongly_connected_components,
-)
-from .critical import (
-    Branch,
-    Constants,
-    P,
-    R,
-    bisect_root,
-    branch_for,
-    branches,
-    compute_constants,
-    p_of_m,
-    r_of_m,
-    solve_pi_root,
-)
-from .sequences import (
-    EPS_CMP,
-    Alphabet,
-    EPSeq,
-    NotationError,
-    Word,
-    format_seq,
-    parse_seq,
-    pi_complement,
-    pi_eval,
-    pi_word,
-)
-from .uniqueness import (
-    Verdict,
-    VerdictKind,
-    Witness,
-    certify_family,
-    check_univoque_general,
-    check_v_membership,
-    is_forbidden_block,
-    scan_forbidden,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet",
-    "Automaton",
-    "Branch",
-    "Constants",
-    "EPSeq",
-    "EPS_CMP",
-    "GrowthClass",
-    "GrowthKind",
-    "NotationError",
-    "P",
-    "R",
-    "Verdict",
-    "VerdictKind",
-    "Witness",
-    "Word",
-    "bisect_root",
-    "branch_for",
-    "branches",
-    "build_safety_automaton",
-    "certify_family",
-    "check_univoque_general",
-    "check_v_membership",
-    "classify_growth",
-    "compute_constants",
-    "count_words",
-    "export_dot",
-    "format_seq",
-    "growth_rate",
-    "is_forbidden_block",
-    "p_of_m",
-    "parse_seq",
-    "pi_complement",
-    "pi_eval",
-    "pi_word",
-    "r_of_m",
-    "scan_forbidden",
-    "solve_pi_root",
-    "strongly_connected_components",
-    "__version__",
-]
+# the public names of each layer, the one list of them
+_LAYERS = {
+    "sequences": "EPS_CMP Alphabet EPSeq NotationError Word format_seq parse_seq "
+                 "pi_complement pi_eval pi_word",
+    "uniqueness": "Verdict VerdictKind Witness certify_family check_univoque_general "
+                  "check_v_membership is_forbidden_block scan_forbidden",
+    "critical": "Branch Constants P R bisect_root branch_for branches compute_constants "
+                "p_of_m r_of_m solve_pi_root",
+    "automata": "Automaton GrowthClass GrowthKind build_safety_automaton classify_growth "
+                "count_words export_dot growth_rate strongly_connected_components",
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names.split()}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    """Load the layer that ``name`` is, or that defines it (PEP 562)."""
+    if name in _LAYERS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAYERS, *__all__})

@@ -283,13 +283,15 @@ def count_words(a: Automaton, n: int) -> int:
     """
     if not 0 <= n <= 64:
         raise ValueError(f"n must be between 0 and 64, got {n}")
+    if a.start is None:
+        return 0
     # f[s] counts the length-k paths from s; f[n_states] (no edge) stays 0
     rows = [[a.n_states if t is None else t for t in row] for row in a.transitions]
     f = [1] * a.n_states + [0]
     for _ in range(n):
         f = [f[x] + f[y] for x, y in rows]
         f.append(0)
-    return 0 if a.start is None else f[a.start]
+    return f[a.start]
 
 
 def growth_rate(a: Automaton) -> float:

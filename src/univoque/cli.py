@@ -8,6 +8,9 @@ Subcommands:
     automaton   build the avoidance automaton (DOT / classify / count)
     selftest    run the built-in consistency suites
 
+Each subcommand imports the layers it runs when it runs, so ``pi``
+loads only :mod:`univoque.sequences`.
+
 Exit codes: 0 success, 1 selftest failure or stdout closed early, 2 bad
 input, 3 a request outside the supported parameter domain.
 """
@@ -21,14 +24,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .automata import (
-    build_safety_automaton,
-    classify_growth,
-    count_words,
-    export_dot,
-    growth_rate,
-)
-from .critical import P, R, branch_for, p_of_m, r_of_m
 from .sequences import (
     Alphabet,
     EPSeq,
@@ -38,7 +33,6 @@ from .sequences import (
     pi_eval,
     pi_word,
 )
-from .uniqueness import check_univoque_general, check_v_membership, scan_forbidden
 
 
 class UnsupportedDomainError(Exception):
@@ -106,6 +100,7 @@ def cmd_pi(args) -> int:
 # --- check ------------------------------------------------------------------
 
 def cmd_check(args) -> int:
+    from .uniqueness import check_univoque_general, check_v_membership
     if args.general:
         alphabet = _alphabet_from_args(args)
     else:
@@ -165,6 +160,7 @@ def curve_rows(m_lo: float, m_hi: float, step: float) -> list[CurveRow]:
     a small tolerance).  The grid is index-based so rows are identical
     across runs regardless of accumulation order.  A grid of more than
     MAX_CURVE_ROWS rows raises ValueError."""
+    from .critical import P, R, branch_for, p_of_m, r_of_m
     if not all(map(math.isfinite, (m_lo, m_hi, step))):
         raise ValueError("m_lo, m_hi and step must be finite")
     if m_lo < 2.0:
@@ -217,6 +213,8 @@ def _parse_blocks(spec: str) -> list[str]:
 
 
 def cmd_automaton(args) -> int:
+    from .automata import (build_safety_automaton, classify_growth, count_words,
+                           export_dot, growth_rate)
     if args.scan is None and args.blocks is None:
         raise ValueError("give --blocks or --scan")
     blocks = []
@@ -224,6 +222,7 @@ def cmd_automaton(args) -> int:
         m, q, lmax = args.scan
         if not lmax.is_integer():
             raise ValueError(f"LMAX must be an integer, got {lmax}")
+        from .uniqueness import scan_forbidden
         blocks = [w.text() for w in scan_forbidden(m, q, int(lmax))]
     if args.blocks is not None:
         blocks += _parse_blocks(args.blocks)

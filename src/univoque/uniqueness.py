@@ -288,10 +288,12 @@ def _greedy_prefix(suffix, blocks, depth: int, take_max: bool):
 def certify_family(blocks, m: float, q: float) -> bool:
     """Certify that every free concatenation of ``blocks`` is unique.
 
-    ``blocks`` are nonempty strings over '1' and 'm'.  With at least two
-    distinct blocks, a certified family witnesses uncountably many
-    unique sequences (every infinite choice of blocks yields a distinct
-    member).
+    ``blocks`` are nonempty strings over '1' and 'm'.  A certified family
+    witnesses uncountably many unique sequences only if two of its
+    blocks u, v satisfy uv != vu; that precondition is not checked.  By
+    Lyndon-Schuetzenberger, uv == vu exactly when u and v are powers of
+    one word, so a family whose blocks all commute generates a single
+    periodic sequence: ``['1m', '1m1m']`` certifies only (1m)^w.
 
     For each digit-1 position class inside the blocks, the supremum of
     the tail value over all continuations is bounded by the greedy

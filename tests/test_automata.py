@@ -258,34 +258,61 @@ def test_growth_rate_lies_in_a_collatz_wielandt_enclosure(blocks):
     assert hi - lo < Fraction(1, 10**12)
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str) -> list[str]:
+    """Output lines of ``code`` run in a fresh interpreter that imports
+    univoque from this checkout."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); " + code
+    return subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True,
+                          text=True, check=True).stdout.splitlines()
+
+
+def loaded_after(code: str) -> set[str]:
+    """The univoque modules loaded once ``code`` has run in a fresh interpreter."""
+    return set(run_fresh(code + "; print(*(k for k in sys.modules if k.startswith('univoque')))")
+               [-1].split())
+
+
 def test_import_loads_no_numpy():
     # nor the self-test suites, which only the selftest subcommand loads
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import univoque; "
-            "print('numpy' in sys.modules, 'univoque.selftest' in sys.modules); "
-            "import univoque.cli; "
-            "univoque.cli.main(['pi', '1^w', '--q', '3', '--m', '3']); "
-            "print('univoque.selftest' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, str(src)],
-                         capture_output=True, text=True, check=True).stdout
-    lines = out.splitlines()  # the pi value is printed between the two
+    lines = run_fresh("import univoque; "
+                      "print('numpy' in sys.modules, 'univoque.selftest' in sys.modules); "
+                      "import univoque.cli; "
+                      "univoque.cli.main(['pi', '1^w', '--q', '3', '--m', '3']); "
+                      "print('univoque.selftest' in sys.modules)")
+    # the pi value is printed between the two
     assert lines[0] == "False False"
     assert lines[-1] == "False"
 
 
+def test_cold_start_loads_only_the_layers_it_uses():
+    assert loaded_after("import univoque") == {"univoque"}
+    assert loaded_after("import univoque; univoque.compute_constants(); univoque.branches()") \
+        == {"univoque", "univoque._rounding", "univoque.sequences", "univoque.critical"}
+
+    def cli(*argv):
+        return loaded_after(f"import univoque.cli; univoque.cli.main({list(argv)!r})")
+
+    pi = {"univoque", "univoque.cli", "univoque.sequences"}
+    assert cli("pi", "1^w", "--q", "3", "--m", "3") == pi
+    assert cli("check", "1^w", "--q", "3", "--m", "3", "--ternary") == pi | {"univoque.uniqueness"}
+    assert cli("scan-curve", "--m-lo", "2", "--m-hi", "2.1", "--step", "0.05") \
+        == pi | {"univoque.critical", "univoque._rounding"}
+    assert cli("automaton", "--blocks", "111", "--count", "3") \
+        == pi | {"univoque.automata", "univoque._rounding"}
+
+
 def test_exact_steps_load_no_fractions():
     # the exact root and growth-rate steps work in plain integers
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import univoque; "
-            "exact = lambda: sorted({'fractions', 'decimal'} & set(sys.modules)); "
-            "print(exact()); import univoque.cli; "
-            "univoque.cli.main(['scan-curve', '--m-lo', '2', '--m-hi', '5', "
-            "'--step', '0.1']); "
-            "univoque.cli.main(['automaton', '--blocks', '111', '--classify']); "
-            "print(exact())")
-    out = subprocess.run([sys.executable, "-c", code, str(src)],
-                         capture_output=True, text=True, check=True).stdout
-    lines = out.splitlines()
+    lines = run_fresh("import univoque; "
+                      "exact = lambda: sorted({'fractions', 'decimal'} & set(sys.modules)); "
+                      "print(exact()); import univoque.cli; "
+                      "univoque.cli.main(['scan-curve', '--m-lo', '2', '--m-hi', '5', "
+                      "'--step', '0.1']); "
+                      "univoque.cli.main(['automaton', '--blocks', '111', '--classify']); "
+                      "print(exact())")
     assert lines[0] == lines[-1] == "[]"
 
 
@@ -296,6 +323,19 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from univoque import *", namespace)
     assert set(univoque.__all__) <= set(namespace)
+    # each name is its home layer's own object, defined there
+    for name, layer in univoque._HOME.items():
+        obj, home = getattr(univoque, name), getattr(univoque, layer)
+        assert obj is getattr(home, name), name
+        if callable(obj):
+            assert obj.__module__ == home.__name__, name
+    # a layer resolves as an attribute even when nothing imported it by name
+    assert run_fresh("import univoque.cli; print(univoque.automata.__name__)")[-1] \
+        == "univoque.automata"
+    # unknown names stay unknown, so probing with hasattr is safe
+    assert not hasattr(univoque, "curve_rows")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        univoque.no_such_name
 
 
 def test_empty_language_growth_rate_is_zero():
