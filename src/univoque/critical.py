@@ -25,7 +25,6 @@ the correctly rounded root of its own integer polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -33,6 +32,7 @@ from ._rounding import polynomial_root
 from .sequences import (
     Alphabet,
     EPSeq,
+    _Record,
     parse_seq,
     pi_eval,
     require_zero_free,
@@ -129,22 +129,21 @@ def solve_pi_root(seq: EPSeq, form: str, m: float) -> float:
 
 # --- named constants --------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Constants:
-    """Solved thresholds and window endpoints, with provenance notes."""
+class Constants(_Record):
+    """Solved thresholds and window endpoints, with provenance notes;
+    equal only to itself."""
 
-    alpha: float
-    phi: float
-    m_d: float
-    M_d: float
-    q_1: float
-    m_1: float
-    m_2: float
-    m_3: float
-    m_4: float
-    q_4: float
-    kl_q_prime: float
-    provenance: Mapping[str, str]
+    __slots__ = ("alpha", "phi", "m_d", "M_d", "q_1", "m_1", "m_2", "m_3", "m_4",
+                 "q_4", "kl_q_prime", "provenance")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, alpha: float, phi: float, m_d: float, M_d: float, q_1: float,
+                 m_1: float, m_2: float, m_3: float, m_4: float, q_4: float,
+                 kl_q_prime: float, provenance: Mapping[str, str]):
+        # built once per process: a loop here costs nothing measurable
+        for name, value in zip(self.__slots__, (alpha, phi, m_d, M_d, q_1, m_1, m_2, m_3,
+                                                m_4, q_4, kl_q_prime, provenance)):
+            object.__setattr__(self, name, value)
 
 
 def _ternary_seq(notation: str, m: float) -> EPSeq:
@@ -219,8 +218,7 @@ def _numerator(seq: EPSeq, form: str, one: int, m: int) -> list[int]:
     return c
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(_Record):
     """One window [lo, hi] of the r(m) curve with its defining sequence,
     whose symbols ``preperiod`` and ``period`` are parsed once from
     ``notation``.  The pairs (a_k, b_k) of ``numerator`` give the integer
@@ -228,21 +226,24 @@ class Branch:
     (see :func:`_numerator`); r(m) is its root, correctly rounded.
     """
 
-    label: str
-    notation: str
-    form: str
-    lo: float
-    hi: float
-    preperiod: tuple[int, ...] = field(init=False)
-    period: tuple[int, ...] = field(init=False)
-    numerator: tuple[tuple[int, int], ...] = field(init=False)
+    __slots__ = ("label", "notation", "form", "lo", "hi",
+                 "preperiod", "period", "numerator")
 
-    def __post_init__(self) -> None:
-        seq = _ternary_seq(self.notation, 2.0)  # its symbols do not depend on m
-        a, b = (_numerator(seq, self.form, one, m) for one, m in ((1, 0), (0, 1)))
+    def __init__(self, label: str, notation: str, form: str, lo: float, hi: float):
+        seq = _ternary_seq(notation, 2.0)  # its symbols do not depend on m
+        a, b = (_numerator(seq, form, one, m) for one, m in ((1, 0), (0, 1)))
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "notation", notation)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "preperiod", seq.preperiod)
         object.__setattr__(self, "period", seq.period)
         object.__setattr__(self, "numerator", tuple(zip(a, b)))
+
+    def __reduce__(self):
+        # the constructor fields only: unpickling parses and checks again
+        return Branch, (self.label, self.notation, self.form, self.lo, self.hi)
 
     def defining_seq(self, m: float) -> EPSeq:
         # {0, 1, m} built directly: branch_for admits m up to 1e-12 below 2

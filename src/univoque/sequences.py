@@ -15,7 +15,6 @@ an item k times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Margin used when a strict inequality has to be decided in floating
 # point.  Values closer than this to a threshold are boundary cases.
@@ -40,8 +39,41 @@ class NotationError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """Immutable record whose fields are its ``__slots__``: equality, hash
+    and repr by field, as for a frozen dataclass, without loading
+    ``dataclasses`` and ``inspect``.  Each ``__init__`` checks its
+    arguments and stores each field once; pickling and copying call it.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Alphabet(_Record):
     """Finite, strictly increasing set of real digits.
 
     ``chars`` assigns one text character per digit for the sequence
@@ -49,23 +81,24 @@ class Alphabet:
     characters '0', '1', 'm'.
     """
 
-    digits: tuple[float, ...]
-    chars: tuple[str, ...]
+    __slots__ = ("digits", "chars")
 
-    def __post_init__(self):
-        if len(self.digits) < 2:
+    def __init__(self, digits: tuple[float, ...], chars: tuple[str, ...]):
+        if len(digits) < 2:
             raise ValueError("alphabet needs at least 2 digits")
-        if len(self.chars) != len(self.digits):
+        if len(chars) != len(digits):
             raise ValueError("one character per digit required")
-        if not all(map(math.isfinite, self.digits)):
-            raise ValueError(f"digits must be finite, got {self.digits}")
-        if any(b <= a for a, b in zip(self.digits, self.digits[1:])):
+        if not all(map(math.isfinite, digits)):
+            raise ValueError(f"digits must be finite, got {digits}")
+        if any(b <= a for a, b in zip(digits, digits[1:])):
             raise ValueError("digits must be strictly increasing")
-        if len(set(self.chars)) != len(self.chars):
+        if len(set(chars)) != len(chars):
             raise ValueError("digit characters must be distinct")
-        for c in self.chars:
+        for c in chars:
             if len(c) != 1 or c in "()^":
                 raise ValueError(f"invalid digit character {c!r}")
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "chars", chars)
 
     @classmethod
     def ternary(cls, m: float) -> Alphabet:
@@ -99,15 +132,15 @@ class Alphabet:
             return None
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """Finite (possibly empty) list of symbol indices into an alphabet."""
 
-    alphabet: Alphabet
-    symbols: tuple[int, ...]
+    __slots__ = ("alphabet", "symbols")
 
-    def __post_init__(self):
-        _check_symbols(self.alphabet, self.symbols)
+    def __init__(self, alphabet: Alphabet, symbols: tuple[int, ...]):
+        _check_symbols(alphabet, symbols)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "symbols", symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -119,8 +152,7 @@ class Word:
         return self.text()
 
 
-@dataclass(frozen=True)
-class EPSeq:
+class EPSeq(_Record):
     """Eventually periodic sequence, stored in canonical form.
 
     Canonical means the period is primitive (not a power of a shorter
@@ -129,16 +161,16 @@ class EPSeq:
     canonical forms then coincides with equality as infinite sequences.
     """
 
-    alphabet: Alphabet
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("alphabet", "preperiod", "period")
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, alphabet: Alphabet, preperiod: tuple[int, ...],
+                 period: tuple[int, ...]):
+        if not period:
             raise ValueError("empty period")
-        _check_symbols(self.alphabet, self.preperiod)
-        _check_symbols(self.alphabet, self.period)
-        pre, per = _canonical(self.preperiod, self.period)
+        _check_symbols(alphabet, preperiod)
+        _check_symbols(alphabet, period)
+        pre, per = _canonical(preperiod, period)
+        object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
 
@@ -147,9 +179,6 @@ class EPSeq:
         if i < len(self.preperiod):
             return self.preperiod[i]
         return self.period[(i - len(self.preperiod)) % len(self.period)]
-
-    def digit(self, i: int) -> float:
-        return self.alphabet.digits[self.symbol(i)]
 
     def __str__(self) -> str:
         return format_seq(self)

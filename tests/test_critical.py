@@ -1,6 +1,8 @@
 """Tests for the threshold curves, solved constants, and sign relations."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from univoque._rounding import polynomial_root
 from univoque.critical import (
     COMPLEMENT,
     PLAIN,
+    Branch,
     P,
     R,
     _residual_fn,
@@ -26,6 +29,7 @@ from univoque.selftest import M_GRID, appendix_sign_suite, locate_crossovers
 from univoque.sequences import (
     Alphabet,
     EPSeq,
+    NotationError,
     parse_seq,
     pi_complement,
     pi_eval,
@@ -99,6 +103,61 @@ def test_constants_ordering_and_report():
 
 def test_constants_are_cached():
     assert compute_constants() is compute_constants()
+
+
+def _fields(record) -> tuple:
+    return tuple(getattr(record, f) for f in type(record).__slots__)
+
+
+@pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)),
+                                        copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_constants_compare_by_identity(round_trip):
+    c = compute_constants()
+    again = round_trip(c)
+    assert type(again) is type(c) and _fields(again) == _fields(c)
+    assert repr(again) == repr(c)
+    # the same fields, but another object
+    assert c == c and again != c and hash(c) == object.__hash__(c)
+    with pytest.raises(AttributeError):
+        c.alpha = 1.0
+    with pytest.raises(AttributeError):
+        del c.provenance
+
+
+def test_branches_are_records():
+    b = branches()[2]
+    again = Branch(b.label, b.notation, b.form, b.lo, b.hi)
+    assert again is not b and again == b and hash(again) == hash(b)
+    assert b != branches()[3] and b != _fields(b)
+    assert repr(b).startswith("Branch(label='Comp10_mid', notation='mm1(m11m)^w', "
+                              "form='plain', lo=2.992, ")
+    assert repr(b).endswith(", preperiod=(2, 2, 1), period=(2, 1, 1, 2), numerator="
+                            "((-1, 1), (1, -1), (1, -1), (-1, 2), (1, 0), (0, 1), "
+                            "(0, 1), (1, -1)))")
+    for name in Branch.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(b, name, None)
+        with pytest.raises(AttributeError):
+            delattr(b, name)
+
+
+@pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)),
+                                        copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_branches_round_trip(round_trip):
+    for b in branches():
+        again = round_trip(b)
+        assert type(again) is Branch and again == b and hash(again) == hash(b)
+        assert repr(again) == repr(b)
+
+
+def test_unpickled_branch_parses_its_notation_again():
+    # only the five constructor fields are pickled: the derived ones
+    # are rebuilt from the notation, which is checked again
+    b = branches()[1]
+    data = pickle.dumps(b)
+    assert b"numerator" not in data and b"preperiod" not in data
+    with pytest.raises(NotationError):
+        pickle.loads(data.replace(b"(1m)^w", b"(1x)^w"))
 
 
 # Each constant's polynomial, written out by hand.

@@ -1,6 +1,8 @@
 """Tests for alphabets, sequence notation, and pi evaluation."""
 
+import copy
 import math
+import pickle
 import random
 import time
 
@@ -86,6 +88,84 @@ def test_canonical_form_absorbs_rotations():
 def test_canonical_preperiod_never_shares_last_symbol_with_period():
     seq = parse_seq("m111(1m11)^w", T3)
     assert not seq.preperiod or seq.preperiod[-1] != seq.period[-1]
+
+
+# Each call builds a fresh record; two calls build equal ones.
+RECORDS = [
+    (lambda: Alphabet.ternary(3)),
+    (lambda: Alphabet.from_digits([0, 1, 2.5])),
+    (lambda: parse_seq("m1(1m)^w", Alphabet.ternary(3))),
+    (lambda: Word(T3, (1, 2, 2))),
+]
+
+
+@pytest.mark.parametrize("make", RECORDS)
+def test_records_compare_and_hash_by_field(make):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_records_never_equal_another_type():
+    word, seq = Word(T3, (1, 2)), EPSeq(T3, (), (1, 2))
+    assert word != seq and seq != word
+    assert word != (T3, (1, 2)) and seq != (T3, (), (1, 2))
+    assert T3 != ((0.0, 1.0, 3.0), ("0", "1", "m"))
+    # field for field equal, but a different class
+    assert Alphabet.ternary(3) != type("Other", (Alphabet,), {"__slots__": ()})(
+        (0.0, 1.0, 3.0), ("0", "1", "m"))
+
+
+@pytest.mark.parametrize("make", RECORDS)
+def test_records_are_immutable(make):
+    record = make()
+    before = repr(record)
+    for name in type(record).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record) == before
+
+
+def test_record_repr_is_unchanged():
+    assert repr(parse_seq("m1(1m)^w", Alphabet.ternary(3))) == (
+        "EPSeq(alphabet=Alphabet(digits=(0.0, 1.0, 3.0), chars=('0', '1', 'm')), "
+        "preperiod=(2, 1), period=(1, 2))")
+    assert repr(Word(T3, (1, 2))) == (
+        "Word(alphabet=Alphabet(digits=(0.0, 1.0, 3.0), chars=('0', '1', 'm')), "
+        "symbols=(1, 2))")
+
+
+def test_records_take_keyword_arguments():
+    seq = EPSeq(alphabet=T3, preperiod=(2, 1, 1), period=(1,))
+    assert seq == EPSeq(T3, (2,), (1,))
+    assert Word(alphabet=T3, symbols=(2,)) == Word(T3, (2,))
+    assert Alphabet(digits=(0.0, 1.0), chars=("a", "b")).chars == ("a", "b")
+
+
+@pytest.mark.parametrize("make", RECORDS)
+@pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)),
+                                        copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+def test_records_round_trip(make, round_trip):
+    record = make()
+    again = round_trip(record)
+    assert type(again) is type(record)
+    assert again == record and hash(again) == hash(record)
+    assert repr(again) == repr(record)
+
+
+def test_unpickling_checks_again():
+    # a record is rebuilt through its constructor, so its checks run:
+    # here on a pickle whose second digit character is edited to the first
+    bad = pickle.dumps(Alphabet((0.0, 1.0), ("a", "b"))).replace(b"\x8c\x01b", b"\x8c\x01a")
+    with pytest.raises(ValueError, match="distinct"):
+        pickle.loads(bad)
 
 
 @pytest.mark.parametrize("text,offset", [
@@ -228,7 +308,7 @@ def test_pi_eval_matches_truncation_within_tail_bound():
         n = rng.randrange(30, 60)
         # analytic tail bound plus a rounding allowance for the two sums
         bound = m * q ** (-n) / (q - 1.0) + 1e-12
-        partial = sum(seq.digit(i) * q ** (-(i + 1)) for i in range(n))
+        partial = sum(seq.alphabet.digits[seq.symbol(i)] * q ** (-(i + 1)) for i in range(n))
         assert abs(pi_eval(seq, q) - partial) <= bound
 
 
@@ -242,7 +322,7 @@ def test_pi_complement_matches_reflected_partial_sums():
         seq = EPSeq(alphabet, pre, per)
         q = rng.uniform(2.05, 3.5)
         n = 80
-        partial = sum((m - seq.digit(i)) * q ** (-(i + 1)) for i in range(n))
+        partial = sum((m - seq.alphabet.digits[seq.symbol(i)]) * q ** (-(i + 1)) for i in range(n))
         assert pi_complement(seq, m, q) == pytest.approx(partial, abs=1e-12)
 
 
@@ -287,5 +367,5 @@ def test_pi_drops_the_first_digit():
             rest = EPSeq(T3, (), per[1:] + per[:1])
         q = rng.uniform(1.2, 3.8)
         lhs = pi_eval(seq, q)
-        rhs = seq.digit(0) / q + pi_eval(rest, q) / q
+        rhs = seq.alphabet.digits[seq.symbol(0)] / q + pi_eval(rest, q) / q
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)

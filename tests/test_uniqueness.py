@@ -412,10 +412,10 @@ for _block in R3_BLOCKS:
 
 
 def test_scan_builds_no_epseq(monkeypatch):
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError("EPSeq built during a scan")
 
-    monkeypatch.setattr(EPSeq, "__post_init__", refuse)
+    monkeypatch.setattr(EPSeq, "__init__", refuse)
     with pytest.raises(AssertionError):
         EPSeq(T3, (), (1,))
     assert [w.text() for w in scan_forbidden(3.0, R3, 16)] == list(R3_BLOCKS)
