@@ -4,7 +4,7 @@ Newton's method in floats, then exact tests at float midpoints."""
 from __future__ import annotations
 
 import struct
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 
 def newton_descent(coeffs: list[float], x: float, lo: float = 0.0) -> float:

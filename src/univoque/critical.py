@@ -25,8 +25,8 @@ the correctly rounded root of its own integer polynomial.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from functools import lru_cache
-from typing import Callable, Mapping
 
 from ._rounding import polynomial_root
 from .sequences import (

@@ -71,13 +71,6 @@ class Verdict:
     witness: Witness | None
 
 
-def _witness(position: int, condition: str, slack: float) -> Witness:
-    """Witness for one condition; ValueError if the slack is not finite."""
-    if not math.isfinite(slack):
-        raise ValueError(f"the slack overflows a float: {slack}")
-    return Witness(position, condition, slack, abs(slack) <= EPS_CMP)
-
-
 def _decide(worst: Witness | None, q: float, iff_threshold: float) -> Verdict:
     if worst is None or worst.slack > EPS_CMP:
         kind = VerdictKind.PROVEN_UNIQUE
@@ -90,15 +83,16 @@ def _decide(worst: Witness | None, q: float, iff_threshold: float) -> Verdict:
 
 def _worst_witness(seq: EPSeq, q: float, only: int | None = None) -> Witness | None:
     """Worst-slack condition over the positions of ``seq``, or only over
-    those carrying symbol ``only``; the first one on a tie, and None
-    when no condition applies.  Longer than MAX_VERDICT_SYMBOLS raises
-    ValueError."""
-    length = len(seq.preperiod) + len(seq.period)
+    those carrying symbol ``only``, and None when no condition applies.
+    On a tie the earliest position wins, and "raise" before "lower".
+    A slack that is not finite, or a sequence longer than
+    MAX_VERDICT_SYMBOLS, raises ValueError."""
+    pre, per = seq.preperiod, seq.period
+    length = len(pre) + len(per)
     if length > MAX_VERDICT_SYMBOLS:
         raise ValueError(f"the sequence has {length} symbols; a verdict "
                          f"takes at most {MAX_VERDICT_SYMBOLS}")
     digits = seq.alphabet.digits
-    pre, per = seq.preperiod, seq.period
     top = len(digits) - 1
     lo_tail = digits[0] / (q - 1.0)
     hi_tail = digits[-1] / (q - 1.0)
@@ -110,23 +104,31 @@ def _worst_witness(seq: EPSeq, q: float, only: int | None = None) -> Witness | N
         heads.append((heads[-1] + digits[s]) / q)
     den = 1.0 - q ** -len(per)
     sv = _horner(per, digits, q)
-    found = []
-    for n in range(1, length + 1):
-        j = seq.symbol(n - 1)
+    isfinite = math.isfinite
+    # the running worst (slack, position, condition); position 0: none yet
+    low, at, side = math.inf, 0, ""
+    npre = len(pre)
+    for n, j in enumerate(pre + per, 1):
         if only is not None and j != only:
             continue
-        if n <= len(pre):
-            tail = heads[len(pre) - n] + q ** (n - len(pre)) * sv / den
+        if n <= npre:
+            tail = heads[npre - n] + q ** (n - npre) * sv / den
         else:
-            k = (n - len(pre)) % len(per)
+            k = n - npre  # per[k:] + per[:k] is per again at k = len(per)
             tail = _horner(per[k:] + per[:k], digits, q) / den
         if j < top:
             slack = (digits[j + 1] - digits[j]) - (tail - lo_tail)
-            found.append(_witness(n, "raise", slack))
+            if not isfinite(slack):
+                raise ValueError(f"the slack overflows a float: {slack}")
+            if slack < low:
+                low, at, side = slack, n, "raise"
         if j > 0:
             slack = (digits[j] - digits[j - 1]) - (hi_tail - tail)
-            found.append(_witness(n, "lower", slack))
-    return min(found, key=lambda w: w.slack, default=None)
+            if not isfinite(slack):
+                raise ValueError(f"the slack overflows a float: {slack}")
+            if slack < low:
+                low, at, side = slack, n, "lower"
+    return Witness(at, side, low, abs(low) <= EPS_CMP) if at else None
 
 
 def check_univoque_general(seq: EPSeq, q: float) -> Verdict:

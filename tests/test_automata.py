@@ -305,11 +305,11 @@ def test_cold_start_loads_only_the_layers_it_uses():
 
 
 def test_set_up_path_loads_no_dataclasses():
-    # -S: no site-packages .pth hook may load either module beforehand
+    # -S: no site-packages .pth hook may load any of these modules beforehand
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import univoque as u; "
             "u.compute_constants(); u.branches(); u.r_of_m(3.0); "
             "u.pi_eval(u.parse_seq('m1^w', u.Alphabet.ternary(3)), 2.5); "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), "
+            "print(sorted({'dataclasses', 'inspect', 'typing', 're', 'enum'} & set(sys.modules)), "
             "'univoque.critical' in sys.modules)")
     out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)], capture_output=True,
                          text=True, check=True).stdout

@@ -61,11 +61,30 @@ def test_top_digit_boundary_case_flagged():
     assert v.witness is not None
     assert v.witness.boundary
     assert v.witness.slack == pytest.approx(0.0, abs=1e-12)
+    # raise and lower both have slack 0.0 there: the first position wins
+    # the tie, and at one position "raise" comes before "lower"
+    assert (v.witness.position, v.witness.condition) == (1, "raise")
     # at q=3 both conditions hold with slack 0.5, well clear of the margin
     v = check_univoque_general(parse_seq("1^w", B012), 3.0)
     assert v.kind is VerdictKind.PROVEN_UNIQUE
     assert v.witness.slack == pytest.approx(0.5, abs=1e-12)
     assert not v.witness.boundary
+
+
+def test_a_verdict_builds_one_witness(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Witness(*args)
+
+    monkeypatch.setattr(uniqueness, "Witness", counting)
+    # 1^w over {0, 1, 2} tests two conditions at its one position
+    v = check_univoque_general(parse_seq("1^w", B012), 3.0)
+    assert v.witness == Witness(*built[0])
+    assert len(built) == 1
+    v = check_v_membership(parse_seq("1m1(1mm)^w", T3), 3.0, 2.4)
+    assert v.witness is not None and len(built) == 2
 
 
 def test_general_check_rejects_a_slack_that_overflows():
