@@ -24,6 +24,7 @@ from .sequences import (
     Alphabet,
     EPSeq,
     Word,
+    _canonical,
     _horner,
     _pi_closed,
     _require_base,
@@ -35,10 +36,6 @@ from .sequences import (
 # period from one Horner pass over a rotation of it, so a verdict costs
 # O(pre + p**2) for a period of p symbols.
 MAX_VERDICT_SYMBOLS = 2048
-
-# Symbols of each extreme concatenation certify_family expands exactly;
-# the rest of the tail is bounded by a worst-case remainder.
-FAMILY_DEPTH = 64
 
 
 class VerdictKind(str, Enum):
@@ -142,6 +139,14 @@ def check_univoque_general(seq: EPSeq, q: float) -> Verdict:
     return _decide(_worst_witness(seq, q), q, seq.alphabet.necessity_threshold)
 
 
+def _require_zero_free_params(m: float, q: float) -> None:
+    """ValueError unless m >= 2 and q is finite and above 2."""
+    if not m >= 2:
+        raise ValueError(f"m must be at least 2, got {m}")
+    if not 2 < q < math.inf:
+        raise ValueError(f"zero-free check needs a finite q > 2, got {q}")
+
+
 def check_v_membership(seq: EPSeq, m: float, q: float) -> Verdict:
     """Zero-free uniqueness check over {1, m} for q > 2.
 
@@ -151,10 +156,7 @@ def check_v_membership(seq: EPSeq, m: float, q: float) -> Verdict:
     alphabet must be {0, 1, m}; longer than MAX_VERDICT_SYMBOLS raises
     ValueError.
     """
-    if not m >= 2:
-        raise ValueError(f"m must be at least 2, got {m}")
-    if not 2 < q < math.inf:
-        raise ValueError(f"zero-free check needs a finite q > 2, got {q}")
+    _require_zero_free_params(m, q)
     alphabet = seq.alphabet
     require_zero_free(alphabet, seq.preperiod + seq.period, m)
     if alphabet.digits[:-1] != (0.0, 1.0):
@@ -262,29 +264,29 @@ def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
 
 # --- family certification -------------------------------------------------
 
-def _greedy_prefix(suffix, blocks, depth: int, take_max: bool):
-    """Lexicographically extreme length-``depth`` prefix of suffix.blocks^inf.
+def _extreme(blocks, pick):
+    """Canonical (preperiod, period) of the greatest (``pick`` = max) or
+    least (``pick`` = min) sequence in blocks^inf.
 
-    Every prefix of a concatenation extends to an infinite one, so the
-    greedy symbol-by-symbol choice realizes the lexicographic extreme.
+    The greedy walk emits it symbol by symbol from the set of (block,
+    offset) states that can still produce it.  The extreme from one
+    state follows one best state out of it, so over the n symbols of the
+    blocks it is u v^inf with |u| + |v| <= n: the walk takes 3n symbols,
+    and the least period of the last 2n is |v| (Fine-Wilf).
     """
-    out = list(suffix[:depth])
-    states = {(bi, 0) for bi in range(len(blocks))}
-    pick = max if take_max else min
-    while len(out) < depth:
-        emitted: dict[int, set] = {}
-        for bi, off in states:
-            emitted.setdefault(blocks[bi][off], set()).add((bi, off))
-        sym = pick(emitted)
-        nxt = set()
-        for bi, off in emitted[sym]:
-            if off + 1 < len(blocks[bi]):
-                nxt.add((bi, off + 1))
-            else:
-                nxt.update((j, 0) for j in range(len(blocks)))
+    n = sum(map(len, blocks))
+    starts = {(bi, 0) for bi in range(len(blocks))}
+    states, out = starts, []
+    for _ in range(3 * n):
+        sym = pick(blocks[bi][off] for bi, off in states)
         out.append(sym)
+        nxt = set()
+        for bi, off in states:
+            if blocks[bi][off] == sym:
+                nxt |= starts if off + 1 == len(blocks[bi]) else {(bi, off + 1)}
         states = nxt
-    return out
+    b = next(b for b in range(1, n + 1) if out[n + b:] == out[n:-b])
+    return _canonical(out[:n], out[n:n + b])
 
 
 def certify_family(blocks, m: float, q: float) -> bool:
@@ -297,17 +299,15 @@ def certify_family(blocks, m: float, q: float) -> bool:
     one word, so a family whose blocks all commute generates a single
     periodic sequence: ``['1m', '1m1m']`` certifies only (1m)^w.
 
-    For each digit-1 position class inside the blocks, the supremum of
-    the tail value over all continuations is bounded by the greedy
-    lexicographic maximum to ``FAMILY_DEPTH`` symbols plus a worst-case
-    remainder, and must clear m - 1; symmetrically the reflected bound
-    must clear 1 via the lexicographic minimum.  A False result means
-    "not certified at this depth", never a disproof.
+    After each digit 1 come the rest of its block and any concatenation;
+    over {1, m} with q > 2 lexicographic order is value order, so the
+    tail's supremum (infimum) is that suffix followed by the greatest
+    (least) sequence in blocks^inf, found once per family.  Each is
+    valued as pi_eval values its EPSeq, bit for bit, and must clear
+    m - 1 (reflected: 1) by ``EPS_CMP``.  A False result means "not
+    certified", never a disproof.
     """
-    if not m >= 2:
-        raise ValueError(f"m must be at least 2, got {m}")
-    if not 2 < q < math.inf:
-        raise ValueError(f"certification needs a finite q > 2, got {q}")
+    _require_zero_free_params(m, q)
     if isinstance(blocks, str):
         raise TypeError("blocks must be an iterable of str, not a str")
     alphabet = Alphabet.ternary(m)
@@ -317,17 +317,15 @@ def certify_family(blocks, m: float, q: float) -> bool:
     if not all(words):
         raise ValueError("blocks must be nonempty")
     digit = alphabet.digits
-    remainder = m * q ** (-FAMILY_DEPTH) / (q - 1.0)
+    (hi_pre, hi_per), (lo_pre, lo_per) = _extreme(words, max), _extreme(words, min)
 
     # symbol 1 of {0, 1, m} is the digit 1
     suffixes = {b[j + 1:] for b in words for j in range(len(b)) if b[j] == 1}
     for suffix in suffixes:
-        hi = _greedy_prefix(suffix, words, FAMILY_DEPTH, take_max=True)
-        sup_tail = _horner(hi, digit, q) + remainder
+        sup_tail = _pi_closed(*_canonical(suffix + hi_pre, hi_per), digit, q)
         if not sup_tail < m - 1.0 - EPS_CMP:
             return False
-        lo = _greedy_prefix(suffix, words, FAMILY_DEPTH, take_max=False)
-        inf_tail = _horner(lo, digit, q)
+        inf_tail = _pi_closed(*_canonical(suffix + lo_pre, lo_per), digit, q)
         if not m / (q - 1.0) - inf_tail < 1.0 - EPS_CMP:
             return False
     return True

@@ -18,6 +18,7 @@ from univoque.sequences import (
     parse_seq,
     pi_complement,
     pi_eval,
+    pi_word,
 )
 from univoque.uniqueness import (
     VerdictKind,
@@ -560,6 +561,133 @@ def test_certify_family_takes_blocks_as_strings():
     with pytest.raises(TypeError, match="block must be a str, got tuple"):
         certify_family([("m", "m", "1")], 4.0, 2.25)
     assert certify_family((t for t in ("mm1", "mm1m1")), 4.0, 2.25)
+
+
+def _greedy_prefix(suffix, blocks, depth, take_max):
+    """Lexicographically extreme length-``depth`` prefix of suffix.blocks^inf,
+    chosen greedily symbol by symbol over the (block, offset) states."""
+    out = list(suffix[:depth])
+    states = {(bi, 0) for bi in range(len(blocks))}
+    pick = max if take_max else min
+    while len(out) < depth:
+        emitted = {}
+        for bi, off in states:
+            emitted.setdefault(blocks[bi][off], set()).add((bi, off))
+        sym = pick(emitted)
+        nxt = set()
+        for bi, off in emitted[sym]:
+            if off + 1 < len(blocks[bi]):
+                nxt.add((bi, off + 1))
+            else:
+                nxt.update((j, 0) for j in range(len(blocks)))
+        out.append(sym)
+        states = nxt
+    return out
+
+
+def _reference_family_tails(texts, m, q, depth=64):
+    """Per digit-1 suffix class, the supremum bound and the infimum of the
+    tail: each extreme expanded greedily to ``depth`` symbols, the
+    supremum plus the worst-case remainder m q**-depth / (q - 1)."""
+    alphabet = Alphabet.ternary(m)
+    words = [tuple(alphabet.index_of_char(c) for c in t) for t in texts]
+    remainder = m * q ** (-depth) / (q - 1.0)
+    suffixes = {b[j + 1:] for b in words for j in range(len(b)) if b[j] == 1}
+
+    def prefix(s, take_max):
+        return pi_word(Word(alphabet, tuple(_greedy_prefix(s, words, depth, take_max))), q)
+
+    return [(prefix(s, True) + remainder, prefix(s, False)) for s in sorted(suffixes)]
+
+
+def _reference_certify_family(texts, m, q):
+    """The depth-64 route: every bound must clear its threshold."""
+    return all(sup < m - 1.0 - EPS_CMP and m / (q - 1.0) - inf < 1.0 - EPS_CMP
+               for sup, inf in _reference_family_tails(texts, m, q))
+
+
+_FAMILY_BLOCKS = st.lists(st.text(alphabet="1m", min_size=1, max_size=10),
+                          min_size=1, max_size=5)
+# (m, q) with m in [2, 5] and q in (2, R(m)]
+_FAMILY_PARAMS = st.floats(2.0, 5.0).flatmap(
+    lambda m: st.tuples(st.just(m), st.floats(2.0, R(m), exclude_min=True)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts=_FAMILY_BLOCKS, params=_FAMILY_PARAMS)
+def test_certify_family_matches_the_depth_64_route(texts, params):
+    m, q = params
+    if any(abs(sup - (m - 1.0 - EPS_CMP)) < 1e-12
+           or abs(m / (q - 1.0) - inf - (1.0 - EPS_CMP)) < 1e-12
+           for sup, inf in _reference_family_tails(texts, m, q)):
+        return  # the truncation and remainder may decide there
+    assert certify_family(texts, m, q) == _reference_certify_family(texts, m, q)
+
+
+for _texts, _m, _q in [(("mmmmm1", "mmmmmm1"), 3.0, 2.5),
+                       (("m111", "m1111"), 2.0, 2.65),
+                       (("mm1", "mm1m1"), 4.0, 2.25)]:
+    test_certify_family_matches_the_depth_64_route = example(
+        texts=_texts, params=(_m, _q))(test_certify_family_matches_the_depth_64_route)
+
+
+def _expand(pre, per, length):
+    return (list(pre) + list(per) * length)[:length]
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=_FAMILY_BLOCKS, params=_FAMILY_PARAMS)
+def test_family_extremes_are_short_and_valued_as_pi_eval(texts, params):
+    m, q = params
+    alphabet = Alphabet.ternary(m)
+    words = [tuple(alphabet.index_of_char(c) for c in t) for t in texts]
+    n = sum(map(len, words))
+    extreme = uniqueness._extreme
+    extremes = []
+    for pick, take_max in ((max, True), (min, False)):
+        pre, per = extreme(words, pick)
+        assert len(pre) + len(per) <= n
+        assert _expand(pre, per, 10 * n) == _greedy_prefix((), words, 10 * n, take_max)
+        extremes.append((pre, per))
+    suffixes = {b[j + 1:] for b in words for j in range(len(b)) if b[j] == 1}
+    expected = {}
+    for suffix in suffixes:
+        for pre, per in extremes:
+            seq = EPSeq(alphabet, suffix + pre, per)
+            expected[seq.preperiod, seq.period] = pi_eval(seq, q)
+    walks, valued = [], {}
+
+    def counting(*args):
+        walks.append(args)
+        return extreme(*args)
+
+    def recording(pre, per, digits, q):
+        valued[pre, per] = _pi_closed(pre, per, digits, q)
+        return valued[pre, per]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uniqueness, "_extreme", counting)
+        mp.setattr(uniqueness, "_pi_closed", recording)
+        certified = certify_family(texts, m, q)
+    # one walk per extreme, whatever the number of suffix classes
+    assert len(walks) == 2
+    # each tail is the float pi_eval gives for its EPSeq
+    assert all(expected[key] == value for key, value in valued.items())
+    if certified:
+        assert valued.keys() == expected.keys()
+
+
+@pytest.mark.parametrize("m,q,certified", [
+    (3.0, 2.1, False), (3.0, 2.2, True), (3.0, R3 - 1e-3, True),
+    (4.0, 2.05, True), (4.0, r_of_m(4.0) - 1e-3, True),
+])
+def test_commuting_blocks_certify_one_periodic_sequence(m, q, certified):
+    # both families generate only (1m)^w, so certifying the first says
+    # nothing about uncountably many sequences; the True values below
+    # r(m) are the pitfall the docstring states, not refused
+    assert certify_family(["1m", "1m1m"], m, q) is certified
+    assert certify_family(["1m"], m, q) is certified
+    assert q < r_of_m(m)
 
 
 def test_checkers_refuse_an_infinite_base():
