@@ -3,6 +3,7 @@ Newton's method in floats, then exact tests at float midpoints."""
 
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Callable, Sequence
 
@@ -36,9 +37,7 @@ def round_root(above: Callable[[int, int], bool], x: float) -> float:
     takes two exact tests.
     """
     def below_upper_midpoint(i: int) -> bool:
-        (n1, d1), (n2, d2) = (_float_at(j).as_integer_ratio() for j in (i, i + 1))
-        d = max(d1, d2)  # both are powers of 2
-        return above(n1 * (d // d1) + n2 * (d // d2), 2 * d)
+        return above(*_upper_midpoint(_float_at(i)))
 
     # ordinals lo < hi of floats >= 0, the test false at lo and true at hi
     i = _ordinal(x)
@@ -65,7 +64,8 @@ def round_root(above: Callable[[int, int], bool], x: float) -> float:
 def polynomial_root(coeffs: Sequence[int], hi: float, lo: float) -> float:
     """The float nearest to the root in (lo, hi) of the polynomial with
     integer ``coeffs`` (highest power first), positive above that root:
-    Newton's method down from hi, then :func:`round_root` by exact signs."""
+    Newton's method down from hi, then :func:`round_root` by exact signs.
+    A float found outside [lo, hi] is a ValueError: no root was there."""
     x = newton_descent([float(c) for c in coeffs], hi, lo)
 
     def above(num: int, den: int) -> bool:  # den^d p(num/den) > 0
@@ -74,7 +74,17 @@ def polynomial_root(coeffs: Sequence[int], hi: float, lo: float) -> float:
             acc, scale = acc * num + c * scale, scale * den
         return acc > 0
 
-    return round_root(above, x)
+    x = round_root(above, x)
+    if not lo <= x <= hi:
+        raise ValueError(f"the root found, {x}, lies outside [{lo}, {hi}]")
+    return x
+
+
+def _upper_midpoint(y: float) -> tuple[int, int]:
+    """num/den = y + ulp(y)/2, the midpoint of the float y >= 0 and the
+    next one up: exact, as y is a multiple of its ulp (a power of 2)."""
+    (n, d), (un, ud) = y.as_integer_ratio(), math.ulp(y).as_integer_ratio()
+    return 2 * n * (ud // d) + un, 2 * ud
 
 
 def _ordinal(x: float) -> int:

@@ -39,10 +39,6 @@ class UnsupportedDomainError(Exception):
     """Request outside the parameter range the package covers."""
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _finite_float(text: str) -> float:
     """argparse type: a float that is neither infinite nor NaN."""
     try:
@@ -93,7 +89,7 @@ def cmd_pi(args) -> int:
         value = pi_word(seq, args.q)
     if not math.isfinite(value):
         raise ValueError(f"the value overflows a float: {value}")
-    print(_fmt(value))
+    print(f"{value:.17g}")
     return 0
 
 
@@ -142,11 +138,10 @@ class CurveRow:
     branch: str | None
 
     def to_csv(self) -> str:
-        cells = [_fmt(self.m), _fmt(self.P), _fmt(self.R),
-                 "NA" if self.p is None else _fmt(self.p),
-                 "NA" if self.r is None else _fmt(self.r),
-                 self.branch if self.branch is not None else "NA"]
-        return ",".join(cells)
+        return (f"{self.m:.17g},{self.P:.17g},{self.R:.17g},"
+                f"{'NA' if self.p is None else format(self.p, '.17g')},"
+                f"{'NA' if self.r is None else format(self.r, '.17g')},"
+                f"{'NA' if self.branch is None else self.branch}")
 
 
 CSV_HEADER = "m,P,R,p,r,branch"

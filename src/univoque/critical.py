@@ -271,33 +271,53 @@ def branch_for(m: float) -> Branch | None:
 
 def r_of_m(m: float, *, branch: Branch | None = None) -> float | None:
     """Countable-to-uncountable threshold, or None off the known windows;
-    ``branch`` may pass ``branch_for(m)`` when the caller has it.
+    ``branch`` may pass ``branch_for(m)`` when the caller has it.  A
+    non-finite m, or a branch whose window misses m, is a ValueError.
 
     r(m) is the float nearest to the root of the branch's N in (2, R(m)),
     found by ``polynomial_root`` on -N times the denominator of the
     float m, an integer polynomial: N changes sign once for q > 1, from
-    + to -.  The residual at the root, through ``pi_eval``, must be
-    below 1e-10.
+    + to -.  Its residual there, ``pi_eval`` of the 0/1 indicators of the
+    digits 1 and m (pi_q is linear in the digits), must be below 1e-10.
     """
-    b = branch or branch_for(m)
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
+    b = branch_for(m) if branch is None else branch
     if b is None:
         return None
+    if not b.lo - 1e-12 <= m <= b.hi + 1e-12:
+        raise ValueError(f"m={m} lies outside the window of branch {b.label}")
     m_num, m_den = m.as_integer_ratio()
     root = polynomial_root([-a * m_den - c * m_num for a, c in reversed(b.numerator)],
                            R(m), 2.0)
-    res = _residual_fn(b.defining_seq(m), b.form, m)(root)
+    ones, ms = _indicators(b.preperiod, b.period, b.form)
+    value = pi_eval(ones, root) + m * pi_eval(ms, root)
+    res = value - (m - 1.0) if b.form == PLAIN else m / (root - 1.0) - value - 1.0
     if not abs(res) < 1e-10:
         raise ValueError(f"residual {res} at r({m}) = {root} exceeds tolerance")
     return root
 
 
+@lru_cache(maxsize=None)
+def _indicators(pre: tuple[int, ...], per: tuple[int, ...], form: str):
+    """The 0/1 indicators of the digits 1 and m in pre per^w, built once when
+    the digits show the residual strictly decreasing for all m > 1 (at m = 2)."""
+    _residual_fn(EPSeq(Alphabet.ternary(2.0), pre, per), form, 2.0)
+    binary = Alphabet((0.0, 1.0), ("0", "1"))
+    return tuple(EPSeq(binary, tuple(int(s == d) for s in pre),
+                       tuple(int(s == d) for s in per)) for d in (1, 2))
+
+
 def p_of_m(m: float) -> float | None:
-    """Finite-to-countable threshold, or None off the known windows.
+    """Finite-to-countable threshold, or None off the known windows; a
+    non-finite m is a ValueError.
 
     On the first window p(m) = m.  On the window [m_d, M_d] it is the
     larger of sqrt(m) (reflected pair residual) and the root above 2 of
     (m-1) q^2 - m q - m = 0 (plain pair residual).
     """
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
     tol = 1e-12
     c = compute_constants()
     if m < 2.0 - tol:

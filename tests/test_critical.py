@@ -4,12 +4,14 @@ import copy
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from univoque._rounding import polynomial_root
+from univoque import cli, sequences
+from univoque._rounding import _float_at, _ordinal, _upper_midpoint, polynomial_root
 from univoque.critical import (
     COMPLEMENT,
     PLAIN,
@@ -74,9 +76,10 @@ def test_bracket_curves_and_identities():
 
 
 def test_bracket_curves_refuse_a_non_finite_m():
-    # both curves once returned nan at m = inf
-    for curve in (P, R):
-        for bad in (math.inf, math.nan):
+    # P and R once returned nan at m = inf, r_of_m and p_of_m None (off
+    # the windows)
+    for curve in (P, R, r_of_m, p_of_m):
+        for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="m must be finite"):
                 curve(bad)
 
@@ -240,6 +243,37 @@ def test_polynomial_root_is_the_correctly_rounded_sqrt(k):
     assert polynomial_root([1, 0, -k], float(k), 1.0) == math.sqrt(k)
 
 
+def test_polynomial_root_refuses_a_bracket_without_the_root():
+    # Newton's method stops at once and the exact tests walk up to sqrt 2
+    for hi, lo in ((1.0, 0.5), (3.0, 2.0)):
+        with pytest.raises(ValueError, match="lies outside"):
+            polynomial_root([1, 0, -2], hi, lo)
+    assert polynomial_root([1, 0, -2], 2.0, 1.0) == math.sqrt(2)
+
+
+def _reference_upper_midpoint(y):
+    """The midpoint of y and the next float up, as round_root built it
+    before: from both floats over their larger power-of-2 denominator."""
+    i = _ordinal(y)
+    (n1, d1), (n2, d2) = (_float_at(j).as_integer_ratio() for j in (i, i + 1))
+    d = max(d1, d2)
+    return n1 * (d // d1) + n2 * (d // d2), 2 * d
+
+
+@example(0.0)
+@example(5e-324)  # the least subnormal
+@example(2.0**-1022 - 5e-324)  # the greatest subnormal
+@example(2.0**-1022)
+@example(0.5)
+@example(1.0)
+@example(2.0)
+@example(2.0**1023)
+@example(math.nextafter(sys.float_info.max, 0.0))
+@given(st.floats(0.0, math.nextafter(sys.float_info.max, 0.0)))
+def test_upper_midpoint_from_one_float_and_its_ulp(y):
+    assert Fraction(*_upper_midpoint(y)) == Fraction(*_reference_upper_midpoint(y))
+
+
 def test_first_endpoint_three_ways():
     closed = r_of_m(2.0)
     solved = solve_pi_root(parse_seq("m1^w", Alphabet.ternary(2)), PLAIN, 2.0)
@@ -253,6 +287,41 @@ def test_first_endpoint_three_ways():
     (2.0, "r_2"), (3.0, "r_3"), (4.0, "r_4"), (2.85, "r_285"), (2.9, "r_29")])
 def test_r_reference_values(m, key):
     assert r_of_m(m) == REF[key]
+
+
+@pytest.mark.parametrize("m", [2.5, 3.0, 3.35, 4.9, 6.0])
+def test_r_refuses_a_branch_that_misses_m(m):
+    # r_of_m once returned the root of the wrong residual, silently
+    for b in branches():
+        if branch_for(m) is b:
+            assert r_of_m(m, branch=b) == r_of_m(m)
+        else:
+            with pytest.raises(ValueError, match="outside the window"):
+                r_of_m(m, branch=b)
+
+
+def test_a_root_builds_no_records(monkeypatch):
+    for b in branches():  # builds each branch's indicator sequences
+        r_of_m(b.lo, branch=b)
+    built = []
+    for cls in (sequences.Alphabet, sequences.EPSeq):
+        def counting(self, *args, _init=cls.__init__):
+            built.append(type(self).__name__)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    rows = cli.curve_rows(2.0, 4.995, 0.01)
+    assert len(rows) == 300 and sum(r.r is not None for r in rows) > 100
+    assert built == []
+
+
+def test_the_residual_check_still_fires():
+    b = Branch(*(getattr(branches()[0], f) for f in ("label", "notation", "form",
+                                                      "lo", "hi")))
+    wrong = ((2, -1),) + b.numerator[1:]  # one more in N's constant term
+    object.__setattr__(b, "numerator", wrong)
+    with pytest.raises(ValueError, match="exceeds tolerance"):
+        r_of_m(2.2, branch=b)
 
 
 def test_r_gaps_return_none():
