@@ -169,7 +169,7 @@ def curve_rows(m_lo: float, m_hi: float, step: float) -> list[CurveRow]:
     for k in range(_grid_size(m_lo, m_hi + 1e-12, step)):
         m = m_lo + k * step
         b = branch_for(m)
-        r = None if b is None else r_of_m(m, branch=b)
+        r = None if b is None else r_of_m(m)
         rows.append(CurveRow(m, P(m), R(m), p_of_m(m), r, b and b.label))
     return rows
 

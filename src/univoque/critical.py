@@ -224,22 +224,26 @@ class Branch(_Record):
     ``notation``.  The pairs (a_k, b_k) of ``numerator`` give the integer
     polynomial N(q) = sum_k (a_k + m b_k) q^k of its residual in ``form``
     (see :func:`_numerator`); r(m) is its root, correctly rounded.
+    ``ones`` and ``ms`` are the 0/1 indicators of the digits 1 and m in
+    the sequence, whose ``pi_eval`` values check each root.  Building a
+    branch checks that its residual is strictly decreasing in q for every
+    m > 1 (the digits decide it, so at m = 2) and raises ValueError if not.
     """
 
-    __slots__ = ("label", "notation", "form", "lo", "hi",
+    __slots__ = ("label", "notation", "form", "lo", "hi", "ones", "ms",
                  "preperiod", "period", "numerator")
 
     def __init__(self, label: str, notation: str, form: str, lo: float, hi: float):
         seq = _ternary_seq(notation, 2.0)  # its symbols do not depend on m
+        _residual_fn(seq, form, 2.0)
+        pre, per = seq.preperiod, seq.period
+        binary = Alphabet((0.0, 1.0), ("0", "1"))
+        ones, ms = (EPSeq(binary, tuple(int(s == d) for s in pre),
+                          tuple(int(s == d) for s in per)) for d in (1, 2))
         a, b = (_numerator(seq, form, one, m) for one, m in ((1, 0), (0, 1)))
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "notation", notation)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "preperiod", seq.preperiod)
-        object.__setattr__(self, "period", seq.period)
-        object.__setattr__(self, "numerator", tuple(zip(a, b)))
+        for name, value in zip(self.__slots__, (label, notation, form, lo, hi, ones, ms,
+                                                pre, per, tuple(zip(a, b)))):
+            object.__setattr__(self, name, value)
 
     def __reduce__(self):
         # the constructor fields only: unpickling parses and checks again
@@ -269,43 +273,30 @@ def branch_for(m: float) -> Branch | None:
     return None
 
 
-def r_of_m(m: float, *, branch: Branch | None = None) -> float | None:
+def r_of_m(m: float) -> float | None:
     """Countable-to-uncountable threshold, or None off the known windows;
-    ``branch`` may pass ``branch_for(m)`` when the caller has it.  A
-    non-finite m, or a branch whose window misses m, is a ValueError.
+    a non-finite m is a ValueError.
 
-    r(m) is the float nearest to the root of the branch's N in (2, R(m)),
-    found by ``polynomial_root`` on -N times the denominator of the
-    float m, an integer polynomial: N changes sign once for q > 1, from
-    + to -.  Its residual there, ``pi_eval`` of the 0/1 indicators of the
-    digits 1 and m (pi_q is linear in the digits), must be below 1e-10.
+    r(m) is the float nearest to the root of N in (2, R(m)), N of the
+    branch whose window holds m, found by ``polynomial_root`` on -N times
+    the denominator of the float m, an integer polynomial: N changes sign
+    once for q > 1, from + to -.  Its residual there, ``pi_eval`` of the
+    branch's indicators ``ones`` plus m times ``ms`` (pi_q is linear in
+    the digits), must be below 1e-10.
     """
     if not math.isfinite(m):
         raise ValueError(f"m must be finite, got {m}")
-    b = branch_for(m) if branch is None else branch
+    b = branch_for(m)
     if b is None:
         return None
-    if not b.lo - 1e-12 <= m <= b.hi + 1e-12:
-        raise ValueError(f"m={m} lies outside the window of branch {b.label}")
     m_num, m_den = m.as_integer_ratio()
     root = polynomial_root([-a * m_den - c * m_num for a, c in reversed(b.numerator)],
                            R(m), 2.0)
-    ones, ms = _indicators(b.preperiod, b.period, b.form)
-    value = pi_eval(ones, root) + m * pi_eval(ms, root)
+    value = pi_eval(b.ones, root) + m * pi_eval(b.ms, root)
     res = value - (m - 1.0) if b.form == PLAIN else m / (root - 1.0) - value - 1.0
     if not abs(res) < 1e-10:
         raise ValueError(f"residual {res} at r({m}) = {root} exceeds tolerance")
     return root
-
-
-@lru_cache(maxsize=None)
-def _indicators(pre: tuple[int, ...], per: tuple[int, ...], form: str):
-    """The 0/1 indicators of the digits 1 and m in pre per^w, built once when
-    the digits show the residual strictly decreasing for all m > 1 (at m = 2)."""
-    _residual_fn(EPSeq(Alphabet.ternary(2.0), pre, per), form, 2.0)
-    binary = Alphabet((0.0, 1.0), ("0", "1"))
-    return tuple(EPSeq(binary, tuple(int(s == d) for s in pre),
-                       tuple(int(s == d) for s in per)) for d in (1, 2))
 
 
 def p_of_m(m: float) -> float | None:

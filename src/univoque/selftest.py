@@ -62,13 +62,16 @@ def _reflected_pair_quartic(p: float) -> float:
     return -p**4 + 2.0 * p**3 + p**2 - 2.0 * p + 1.0
 
 
-def _sign_ok(lhs: float, rhs: float, m: float, crossings: tuple[float, ...],
-             m_tol: float = 1e-6, zero_tol: float = 1e-9) -> bool:
-    if min(abs(lhs), abs(rhs)) <= zero_tol:
-        return True
-    if any(abs(m - c) <= m_tol for c in crossings):
-        return True
-    return (lhs > 0) == (rhs > 0)
+# A sign relation also holds where either side is within SIGN_ZERO_TOL
+# of 0, or m within SIGN_M_TOL of one of its crossings.
+SIGN_ZERO_TOL = 1e-9
+SIGN_M_TOL = 1e-6
+
+
+def _sign_ok(lhs: float, rhs: float, m: float, crossings: tuple[float, ...]) -> bool:
+    return (min(abs(lhs), abs(rhs)) <= SIGN_ZERO_TOL
+            or any(abs(m - c) <= SIGN_M_TOL for c in crossings)
+            or (lhs > 0) == (rhs > 0))
 
 
 def appendix_sign_suite(perturb_p: float = 0.0) -> list[tuple[str, bool]]:

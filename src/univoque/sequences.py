@@ -283,11 +283,15 @@ def _parse_items(text: str, pos: int, alphabet: Alphabet,
 
 def _parse_count(text: str, pos: int) -> tuple[int, int]:
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
     if pos == start:
         raise NotationError("expected repeat count or 'w' after '^'", start)
-    count = int(text[start:pos])
+    digits = text[start:pos].lstrip("0") or "0"
+    # refused before int(), which would raise on more than 4,300 digits
+    if len(digits) > len(str(MAX_EXPANDED_LENGTH)):
+        raise NotationError(f"expands to more than {MAX_EXPANDED_LENGTH} symbols", start)
+    count = int(digits)
     if count < 1:
         raise NotationError("repeat count must be positive", start)
     return count, pos

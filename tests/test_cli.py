@@ -64,6 +64,13 @@ def test_pi_rejects_conflicting_alphabets(capsys):
     assert "either --m or --digits" in err
 
 
+def test_pi_rejects_a_repeat_count_in_other_digits(capsys):
+    code, out, err = run(capsys, "pi", "1^\u0663", "--m", "3", "--q", "2.5")
+    assert code == 2
+    assert out == ""
+    assert "(offset 2)" in err
+
+
 def test_pi_rejects_non_finite_base(capsys):
     code, out, err = run(capsys, "pi", "1^w", "--q", "inf", "--m", "3")
     assert code == 2

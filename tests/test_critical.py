@@ -289,20 +289,8 @@ def test_r_reference_values(m, key):
     assert r_of_m(m) == REF[key]
 
 
-@pytest.mark.parametrize("m", [2.5, 3.0, 3.35, 4.9, 6.0])
-def test_r_refuses_a_branch_that_misses_m(m):
-    # r_of_m once returned the root of the wrong residual, silently
-    for b in branches():
-        if branch_for(m) is b:
-            assert r_of_m(m, branch=b) == r_of_m(m)
-        else:
-            with pytest.raises(ValueError, match="outside the window"):
-                r_of_m(m, branch=b)
-
-
 def test_a_root_builds_no_records(monkeypatch):
-    for b in branches():  # builds each branch's indicator sequences
-        r_of_m(b.lo, branch=b)
+    branches()  # builds each branch's indicator sequences
     built = []
     for cls in (sequences.Alphabet, sequences.EPSeq):
         def counting(self, *args, _init=cls.__init__):
@@ -315,13 +303,21 @@ def test_a_root_builds_no_records(monkeypatch):
     assert built == []
 
 
-def test_the_residual_check_still_fires():
+def test_the_residual_check_still_fires(monkeypatch):
     b = Branch(*(getattr(branches()[0], f) for f in ("label", "notation", "form",
                                                       "lo", "hi")))
     wrong = ((2, -1),) + b.numerator[1:]  # one more in N's constant term
     object.__setattr__(b, "numerator", wrong)
+    monkeypatch.setattr("univoque.critical.branch_for", lambda m: b)
     with pytest.raises(ValueError, match="exceeds tolerance"):
-        r_of_m(2.2, branch=b)
+        r_of_m(2.2)
+
+
+@pytest.mark.parametrize("notation,form", [("0^w", PLAIN), ("m^w", COMPLEMENT)])
+def test_a_branch_refuses_a_residual_that_does_not_decrease(notation, form):
+    # every series term is 0, so the residual is constant in q
+    with pytest.raises(ValueError, match="not strictly decreasing"):
+        Branch("x", notation, form, 2.0, 3.0)
 
 
 def test_r_gaps_return_none():

@@ -75,6 +75,8 @@ def test_parse_finite_word():
 def test_repeat_counts_expand():
     w = parse_seq("(m1)^3", T3)
     assert w.symbols == (2, 1, 2, 1, 2, 1)
+    # leading zeros do not count towards the expansion cap
+    assert parse_seq("1^" + "0" * 5000 + "3", T3) == parse_seq("111", T3)
 
 
 def test_canonical_form_absorbs_rotations():
@@ -179,6 +181,10 @@ def test_unpickling_checks_again():
     ("m^w1", 1),
     ("(m^w)", 2),
     ("m^-2", 2),
+    # repeat counts are ASCII digits: not an Arabic-Indic 3, not a superscript 2
+    ("1^\u0663", 2),
+    ("1^\u00b2", 2),
+    ("1^3\u0663", 3),
 ])
 def test_notation_errors_carry_offsets(text, offset):
     with pytest.raises(NotationError) as exc:
@@ -191,6 +197,8 @@ def test_notation_errors_carry_offsets(text, offset):
     ("((1^1000)^1000)^1000", 16),
     ("(1^999999)(1^999999)", 10),
     ("1^99999999999999999999^w", 2),
+    # more digits than int() converts by default
+    pytest.param("1^" + "9" * 5000, 2, id="1^9x5000"),
 ])
 def test_expansion_cap_raises_before_allocating(text, offset):
     start = time.perf_counter()
