@@ -14,12 +14,13 @@ The package has four layers:
 ``import univoque`` loads none of them.  Each layer loads on first use,
 when one of its names (``univoque.r_of_m``) or the layer itself
 (``univoque.critical``) is first read, together with the layers it
-imports: ``critical`` and ``uniqueness`` read ``sequences``.  Likewise
-each subcommand of ``univoque`` loads only what it runs: ``pi``
-loads ``sequences``, ``check`` adds ``uniqueness``, ``scan-curve``
-``critical``, ``automaton`` ``automata`` (and ``uniqueness`` for
-``--scan``), and ``selftest`` all of them with the suites in
-:mod:`univoque.selftest`, which nothing else loads.
+imports: ``critical``, ``uniqueness`` and ``automata`` read
+``sequences``.  Likewise each subcommand of ``univoque`` loads only
+what it runs: ``pi`` loads ``sequences``, ``check`` adds
+``uniqueness``, ``scan-curve`` ``critical``, ``automaton``
+``automata`` (and ``uniqueness`` for ``--scan``), and ``selftest``
+all of them with the suites in :mod:`univoque.selftest`, which
+nothing else loads.
 """
 
 from importlib import import_module

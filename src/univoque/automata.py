@@ -20,8 +20,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from ._rounding import newton_descent, round_root
-
-ZERO_FREE_SYMBOLS = ("1", "m")
+from .sequences import ZERO_FREE_SYMBOLS, _check_blocks
 
 # Largest branching component whose Perron root growth_rate computes.
 # The characteristic polynomial costs O(n^3) big-integer operations.
@@ -74,23 +73,10 @@ class Automaton:
                     yield s, i, t
 
 
-def _as_text(block: str) -> str:
-    if not isinstance(block, str):
-        raise TypeError(f"block must be a str, got {type(block).__name__}")
-    if not block:
-        raise ValueError("forbidden block must be nonempty")
-    for ch in block:
-        if ch not in ZERO_FREE_SYMBOLS:
-            raise ValueError(f"symbol {ch!r} not among {ZERO_FREE_SYMBOLS}")
-    return block
-
-
 def build_safety_automaton(blocks: Iterable[str]) -> Automaton:
     """Build the pruned factor automaton avoiding the given blocks,
     each a nonempty string over '1' and 'm'."""
-    if isinstance(blocks, str):
-        raise TypeError("blocks must be an iterable of str, not a str")
-    texts = sorted({_as_text(b) for b in blocks}, key=lambda t: (len(t), t))
+    texts = sorted(set(_check_blocks(blocks)), key=lambda t: (len(t), t))
 
     children: list[dict[str, int]] = [{}]
     terminal = [False]

@@ -41,6 +41,9 @@ from .sequences import (
 PLAIN = "plain"
 COMPLEMENT = "complement"
 
+# How far outside a window of p(m) or r(m) an m still counts as inside it.
+WINDOW_PAD = 1e-12
+
 
 def P(m: float) -> float:
     """Lower bracket curve: 1 + sqrt(m/(m-1)); satisfies (m-1)P(P-2) = 1."""
@@ -250,7 +253,7 @@ class Branch(_Record):
         return Branch, (self.label, self.notation, self.form, self.lo, self.hi)
 
     def defining_seq(self, m: float) -> EPSeq:
-        # {0, 1, m} built directly: branch_for admits m up to 1e-12 below 2
+        # {0, 1, m} built directly: branch_for admits m up to WINDOW_PAD below 2
         alphabet = Alphabet((0.0, 1.0, float(m)), ("0", "1", "m"))
         return EPSeq(alphabet, self.preperiod, self.period)
 
@@ -268,7 +271,7 @@ def branches() -> tuple[Branch, ...]:
 
 def branch_for(m: float) -> Branch | None:
     for b in branches():
-        if b.lo - 1e-12 <= m <= b.hi + 1e-12:
+        if b.lo - WINDOW_PAD <= m <= b.hi + WINDOW_PAD:
             return b
     return None
 
@@ -309,13 +312,12 @@ def p_of_m(m: float) -> float | None:
     """
     if not math.isfinite(m):
         raise ValueError(f"m must be finite, got {m}")
-    tol = 1e-12
     c = compute_constants()
-    if m < 2.0 - tol:
+    if m < 2.0 - WINDOW_PAD:
         return None
-    if m <= 1.0 + c.alpha + tol:
+    if m <= 1.0 + c.alpha + WINDOW_PAD:
         return float(m)
-    if c.m_d - tol <= m <= c.M_d + tol:
+    if c.m_d - WINDOW_PAD <= m <= c.M_d + WINDOW_PAD:
         from_pair_reflection = math.sqrt(m)
         disc = m * m + 4.0 * m * (m - 1.0)
         from_pair_plain = (m + math.sqrt(disc)) / (2.0 * (m - 1.0))

@@ -22,6 +22,9 @@ EPS_CMP = 1e-9
 
 _INDEX_CHARS = "0123456789"
 
+# The zero-free digits 1 and m as blocks and safety automata write them.
+ZERO_FREE_SYMBOLS = ("1", "m")
+
 # Longest sequence text expansion (preperiod plus period, in symbols)
 # that repeat counts may produce; a larger one is a NotationError.
 MAX_EXPANDED_LENGTH = 1_000_000
@@ -362,9 +365,9 @@ def require_zero_free(alphabet: Alphabet, symbols, m: float) -> None:
     """Raise ValueError unless m is the top digit of ``alphabet`` (to
     1e-12) and ``symbols`` use only the digits 1 and m.
 
-    The one zero-free check of the package: pi_complement, the
-    complement residual of the root solver, the zero-free verdict, the
-    forbidden-block test and the family certificate all call it."""
+    The zero-free check of symbol sequences: pi_complement, the
+    complement residual of the root solver and the zero-free verdict
+    call it.  Blocks, which are strings, go through ``_check_blocks``."""
     digits = alphabet.digits
     if abs(digits[-1] - m) > 1e-12:
         raise ValueError(f"m={m} does not match the alphabet's top digit {digits[-1]}")
@@ -372,3 +375,25 @@ def require_zero_free(alphabet: Alphabet, symbols, m: float) -> None:
         if digits[s] != 1.0 and digits[s] != m:
             raise ValueError("needs a zero-free sequence over {1, m}, "
                              f"got digit {digits[s]}")
+
+
+def _check_blocks(blocks) -> list[str]:
+    """``blocks`` as a list, each a nonempty str over ZERO_FREE_SYMBOLS: the
+    one block check of the safety automaton, the forbidden-block test and
+    the family certificate.  A bare str (it would split into one-symbol
+    blocks) or a non-str block is a TypeError, any other fault a ValueError."""
+    if isinstance(blocks, str):
+        raise TypeError("blocks must be an iterable of str, not a str")
+    blocks = list(blocks)
+    for block in blocks:
+        if not isinstance(block, str):
+            raise TypeError(f"block must be a str, got {type(block).__name__}")
+        if not block:
+            raise ValueError("block must be nonempty")
+        if block.strip("1m"):  # a character other than '1' and 'm'
+            for i, c in enumerate(block):
+                if c == "0":
+                    raise ValueError(f"a block must be zero-free, got '0' at offset {i}")
+                if c not in ZERO_FREE_SYMBOLS:
+                    raise ValueError(f"unknown digit character {c!r} at offset {i}")
+    return blocks

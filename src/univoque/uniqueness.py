@@ -25,6 +25,7 @@ from .sequences import (
     EPSeq,
     Word,
     _canonical,
+    _check_blocks,
     _horner,
     _pi_closed,
     _require_base,
@@ -139,10 +140,17 @@ def check_univoque_general(seq: EPSeq, q: float) -> Verdict:
     return _decide(_worst_witness(seq, q), q, seq.alphabet.necessity_threshold)
 
 
-def _require_zero_free_params(m: float, q: float) -> None:
-    """ValueError unless m >= 2 and q is finite and above 2."""
+def _require_m(m: float) -> None:
+    """ValueError unless m is finite and at least 2 (every zero-free entry point)."""
     if not m >= 2:
         raise ValueError(f"m must be at least 2, got {m}")
+    if m == math.inf:
+        raise ValueError(f"m must be finite, got {m}")
+
+
+def _require_zero_free_params(m: float, q: float) -> None:
+    """ValueError unless m is finite and at least 2 and q is finite and above 2."""
+    _require_m(m)
     if not 2 < q < math.inf:
         raise ValueError(f"zero-free check needs a finite q > 2, got {q}")
 
@@ -168,27 +176,9 @@ def check_v_membership(seq: EPSeq, m: float, q: float) -> Verdict:
 
 # --- forbidden blocks -----------------------------------------------------
 
-def _block_symbols(block: str, alphabet: Alphabet) -> tuple[int, ...]:
-    """Symbols of a block string over '1' and 'm' in the ternary
-    ``alphabet``; ValueError for any other character."""
-    if not isinstance(block, str):
-        raise TypeError(f"block must be a str, got {type(block).__name__}")
-    syms = []
-    for i, c in enumerate(block):
-        s = alphabet.index_of_char(c)
-        if s is None:
-            raise ValueError(f"unknown digit character {c!r} at offset {i}")
-        syms.append(s)
-    require_zero_free(alphabet, syms, alphabet.digits[-1])
-    return tuple(syms)
-
-
 def _require_block_params(m: float, q: float) -> None:
     """ValueError unless m is finite and at least 2 and 2 < q <= 1 + m/(m-1)."""
-    if not m >= 2:
-        raise ValueError(f"m must be at least 2, got {m}")
-    if m == math.inf:
-        raise ValueError(f"m must be finite, got {m}")
+    _require_m(m)
     r_cap = 1.0 + m / (m - 1.0)
     if not 2 < q <= r_cap + EPS_CMP:
         raise ValueError(f"q={q} outside (2, {r_cap}]")
@@ -209,10 +199,8 @@ def is_forbidden_block(w: str, m: float, q: float) -> bool:
     _require_block_params(m, q)
     if not isinstance(w, str):
         raise TypeError(f"w must be a str, got {type(w).__name__}")
-    if w.strip("1m"):  # a character other than '1' and 'm'
-        _block_symbols(w, Alphabet.ternary(m))  # raises, naming it
-    if not w:
-        raise ValueError("w must be nonempty")
+    if not w or w.strip("1m"):  # empty, or a character other than '1' and 'm'
+        _check_blocks([w])  # raises, naming the fault
     # canonical forms, as EPSeq stores them: a trailing run joins the period
     digits = {"1": 1.0, "m": float(m)}
     lowest = _pi_closed(w.rstrip("1"), "1", digits, q)
@@ -259,7 +247,7 @@ def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
                     grown.append(ext)
         frontier = grown
     alphabet = Alphabet.ternary(m)
-    return [Word(alphabet, _block_symbols(k, alphabet)) for k in kept]
+    return [Word(alphabet, tuple(map(alphabet.chars.index, k))) for k in kept]
 
 
 # --- family certification -------------------------------------------------
@@ -308,14 +296,10 @@ def certify_family(blocks, m: float, q: float) -> bool:
     certified", never a disproof.
     """
     _require_zero_free_params(m, q)
-    if isinstance(blocks, str):
-        raise TypeError("blocks must be an iterable of str, not a str")
     alphabet = Alphabet.ternary(m)
-    words = [_block_symbols(b, alphabet) for b in blocks]
+    words = [tuple(map(alphabet.chars.index, b)) for b in _check_blocks(blocks)]
     if not words:
         raise ValueError("family needs at least one block")
-    if not all(words):
-        raise ValueError("blocks must be nonempty")
     digit = alphabet.digits
     (hi_pre, hi_per), (lo_pre, lo_per) = _extreme(words, max), _extreme(words, min)
 

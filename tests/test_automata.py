@@ -289,6 +289,8 @@ def test_import_loads_no_numpy():
 
 def test_cold_start_loads_only_the_layers_it_uses():
     assert loaded_after("import univoque") == {"univoque"}
+    assert loaded_after("import univoque.automata") \
+        == {"univoque", "univoque.automata", "univoque._rounding", "univoque.sequences"}
     assert loaded_after("import univoque; univoque.compute_constants(); univoque.branches()") \
         == {"univoque", "univoque._rounding", "univoque.sequences", "univoque.critical"}
 

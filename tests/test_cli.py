@@ -440,6 +440,12 @@ def test_automaton_without_action_fails(capsys):
     assert "nothing to do" in err
 
 
+def test_automaton_names_a_zero_in_a_block(capsys):
+    code, out, err = run(capsys, "automaton", "--blocks", "10", "--count", "3")
+    assert (code, out) == (2, "")
+    assert "zero-free" in err
+
+
 def test_automaton_without_source_fails(capsys):
     code, _, _ = run(capsys, "automaton", "--dot")
     assert code == 2

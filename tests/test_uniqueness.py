@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from univoque import uniqueness
+from univoque.automata import build_safety_automaton
 from univoque.critical import COMPLEMENT, R, bisect_root, r_of_m, solve_pi_root
 from univoque.sequences import (
     EPS_CMP,
@@ -189,8 +190,8 @@ A0123 = Alphabet.from_digits([0, 1, 2, 3])
 
 
 def _zero_free_entry_points(seq, m):
-    """Every caller of the zero-free check, applied to one sequence:
-    its symbols as a block string where the caller takes blocks."""
+    """Every zero-free entry point, applied to one sequence: its symbols
+    as a block string where the entry point takes blocks."""
     entry = [
         lambda: pi_complement(seq, m, 2.3),
         lambda: solve_pi_root(seq, COMPLEMENT, m),
@@ -199,7 +200,8 @@ def _zero_free_entry_points(seq, m):
     if seq.alphabet == Alphabet.ternary(m):
         block = Word(seq.alphabet, seq.preperiod + seq.period).text()
         entry += [lambda: is_forbidden_block(block, m, 2.3),
-                  lambda: certify_family([block], m, 2.3)]
+                  lambda: certify_family([block], m, 2.3),
+                  lambda: build_safety_automaton([block])]
     return entry
 
 
@@ -211,6 +213,37 @@ def _zero_free_entry_points(seq, m):
 def test_one_zero_free_check_for_every_caller(text, alphabet, m, message):
     for call in _zero_free_entry_points(parse_seq(text, alphabet), m):
         with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("block,fault", [
+    (("1", "1"), "block must be a str, got tuple"),
+    (7, "block must be a str, got int"),
+    ("", "block must be nonempty"),
+    ("10", "zero-free, got '0' at offset 1"),
+    ("1x", "unknown digit character 'x' at offset 1"),
+    ("m1m0x", "zero-free, got '0' at offset 3"),
+    ("11x0", "unknown digit character 'x' at offset 2"),
+])
+def test_one_block_fault_one_error(block, fault):
+    def error(call):
+        with pytest.raises((TypeError, ValueError)) as info:
+            call()
+        return info.type, str(info.value)
+
+    expected = error(lambda: build_safety_automaton([block]))
+    assert fault in expected[1]
+    assert error(lambda: certify_family([block], 3.0, 2.3)) == expected
+    if isinstance(block, str):
+        assert error(lambda: is_forbidden_block(block, 3.0, 2.3)) == expected
+
+
+def test_every_zero_free_entry_point_refuses_an_infinite_m():
+    for call in (lambda: check_v_membership(parse_seq("(1m)^w", T3), math.inf, 2.3),
+                 lambda: certify_family(["m1"], math.inf, 2.3),
+                 lambda: is_forbidden_block("m1", math.inf, 2.3),
+                 lambda: scan_forbidden(math.inf, 2.3, 4)):
+        with pytest.raises(ValueError, match="^m must be finite, got inf$"):
             call()
 
 
