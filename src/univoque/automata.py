@@ -14,7 +14,6 @@ transition tables and DOT exports reproducible byte for byte.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -78,41 +77,43 @@ def build_safety_automaton(blocks: Iterable[str]) -> Automaton:
     each a nonempty string over '1' and 'm'."""
     texts = sorted(set(_check_blocks(blocks)), key=lambda t: (len(t), t))
 
-    children: list[dict[str, int]] = [{}]
+    # the trie: row[i] is the child on ZERO_FREE_SYMBOLS[i], or None
+    trie: list[list[int | None]] = [[None, None]]
     terminal = [False]
     for text in texts:
         cur = 0
-        for ch in text:
-            nxt = children[cur].get(ch)
+        for i in map(ZERO_FREE_SYMBOLS.index, text):
+            nxt = trie[cur][i]
             if nxt is None:
-                nxt = len(children)
-                children[cur][ch] = nxt
-                children.append({})
+                nxt = trie[cur][i] = len(trie)
+                trie.append([None, None])
                 terminal.append(False)
             cur = nxt
         terminal[cur] = True
 
-    # one breadth-first pass: a node's fail link and transition row only
-    # read rows of shallower nodes, which the queue has already finished
-    fail = [0] * len(children)
-    delta: list[list[int]] = [[] for _ in children]
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for i, ch in enumerate(ZERO_FREE_SYMBOLS):
-            back = delta[fail[u]][i] if u else 0
-            v = children[u].get(ch)
+    # one breadth-first pass turns each trie row into its transition
+    # row in place: a missing child becomes the fail link's transition.
+    # A node's fail link and row only read rows of shallower nodes,
+    # which the pass has already finished.
+    fail = [0] * len(trie)
+    order = [0]
+    for u in order:  # grows while it is read
+        back = trie[fail[u]] if u else (0, 0)
+        row = trie[u]
+        for i in (0, 1):
+            v = row[i]
             if v is None:
-                delta[u].append(back)
+                row[i] = back[i]
             else:
-                fail[v] = back
-                terminal[v] = terminal[v] or terminal[back]
-                delta[u].append(v)
-                queue.append(v)
+                fail[v] = back[i]
+                terminal[v] = terminal[v] or terminal[back[i]]
+                order.append(v)
 
-    rows = [tuple(None if terminal[u] or terminal[t] else t for t in row)
-            for u, row in enumerate(delta)]
-    return Automaton(tuple(rows), 0, tuple(texts))
+    # every edge into a matching state is cut, so no edge enters one
+    # and the normal form drops them, rows and all
+    alive = [None if t else u for u, t in enumerate(terminal)]
+    rows = tuple([(alive[x], alive[y]) for x, y in trie])
+    return Automaton(rows, 0, tuple(texts))
 
 
 def _normal_form(transitions: Sequence[Sequence[int | None]], start: int | None):
@@ -131,14 +132,14 @@ def _normal_form(transitions: Sequence[Sequence[int | None]], start: int | None)
             if t is not None and t not in relabel:
                 relabel[t] = len(order)
                 order.append(t)
-    table = [[relabel.get(t) for t in transitions[s]] for s in order]
+    table = [list(map(relabel.get, transitions[s])) for s in order]
     comps = strongly_connected_components(table)
     live: set[int] = set()
     for comp in comps:  # sinks first: the edges leaving comp are settled
         if len(comp) > 1 or any(t in live or t == comp[0] for t in table[comp[0]]):
             live.update(comp)
     keep = {s: i for i, s in enumerate(sorted(live))}
-    rows = tuple(tuple(keep.get(t) for t in table[s]) for s in keep)
+    rows = tuple([tuple(map(keep.get, table[s])) for s in keep])
     live_comps = tuple(tuple(keep[s] for s in c) for c in comps if c[0] in live)
     return rows, 0 if rows else None, live_comps
 
@@ -265,18 +266,25 @@ def classify_growth(a: Automaton) -> GrowthClass:
 def count_words(a: Automaton, n: int) -> int:
     """Number of length-n prefixes of infinite avoiding sequences.
 
-    Exact (arbitrary precision); n is capped at 64.
+    Exact (arbitrary precision); n is capped at 64.  f[s] counts the
+    length-k paths from s.  A missing edge leads to a sentinel state
+    whose row loops on itself, so its count stays 0, and each step
+    reads the four two-symbol targets of every state: n // 2 steps of
+    two symbols, then one of a single symbol when n is odd.
     """
     if not 0 <= n <= 64:
         raise ValueError(f"n must be between 0 and 64, got {n}")
     if a.start is None:
         return 0
-    # f[s] counts the length-k paths from s; f[n_states] (no edge) stays 0
-    rows = [[a.n_states if t is None else t for t in row] for row in a.transitions]
-    f = [1] * a.n_states + [0]
-    for _ in range(n):
+    z = a.n_states
+    rows = [(z if x is None else x, z if y is None else y) for x, y in a.transitions]
+    rows.append((z, z))
+    pairs = [rows[x] + rows[y] for x, y in rows]
+    f = [1] * z + [0]
+    for _ in range(n // 2):
+        f = [f[i] + f[j] + f[k] + f[l] for i, j, k, l in pairs]
+    if n % 2:
         f = [f[x] + f[y] for x, y in rows]
-        f.append(0)
     return f[a.start]
 
 

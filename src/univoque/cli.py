@@ -204,7 +204,7 @@ def cmd_scan_curve(args) -> int:
 # --- automaton ----------------------------------------------------------------
 
 def _parse_blocks(spec: str) -> list[str]:
-    return [b for b in (p.strip() for p in spec.split(",")) if b]
+    return [p.strip() for p in spec.split(",")]
 
 
 def cmd_automaton(args) -> int:

@@ -218,7 +218,8 @@ def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
     current length that contain no block kept so far.  Each frontier
     word is extended by 1, then by m.  An extension whose suffix is a
     kept block is dropped (its other factors lie in the frontier word,
-    which avoids every block); otherwise its tail w is tested with
+    which avoids every block), found by one ``str.endswith`` over the
+    tuple of kept blocks; otherwise its tail w is tested with
     :func:`is_forbidden_block` and the word is either kept or joins the
     next frontier.  Words avoiding the kept blocks are closed under
     prefixes, so this visits exactly the words that contain no kept
@@ -231,7 +232,7 @@ def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
     if not 1 <= lmax <= 16:
         raise ValueError("lmax must be between 1 and 16")
     _require_block_params(m, q)  # also where lmax = 1 tests no word
-    kept: list[str] = []
+    kept: tuple[str, ...] = ()
     frontier = [""]
     for _ in range(2, lmax + 1):
         grown = []
@@ -239,10 +240,10 @@ def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
             for c in "1m":
                 ext = tail + c
                 word = "1" + ext
-                if any(word.endswith(k) for k in kept):
+                if word.endswith(kept):
                     continue
                 if is_forbidden_block(ext, m, q):
-                    kept.append(word)
+                    kept += (word,)
                 else:
                     grown.append(ext)
         frontier = grown

@@ -632,6 +632,8 @@ def _reference_count_words(a, n):
     st.integers(0, 64))
 @example(build_safety_automaton(["1", "m"]), 64)
 @example(build_safety_automaton([]), 64)
+@example(build_safety_automaton(["11", "mmm"]), 1)
+@example(build_safety_automaton(["11", "mmm"]), 63)
 def test_count_words_matches_the_forward_dict_route(a, n):
     assert count_words(a, n) == _reference_count_words(a, n)
 

@@ -446,6 +446,13 @@ def test_automaton_names_a_zero_in_a_block(capsys):
     assert "zero-free" in err
 
 
+@pytest.mark.parametrize("spec", ["1m,,m1", "1m,", ""])
+def test_automaton_refuses_an_empty_block(capsys, spec):
+    code, out, err = run(capsys, "automaton", "--blocks", spec, "--count", "3")
+    assert (code, out) == (2, "")
+    assert "block must be nonempty" in err
+
+
 def test_automaton_without_source_fails(capsys):
     code, _, _ = run(capsys, "automaton", "--dot")
     assert code == 2
