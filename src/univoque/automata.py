@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from ._rounding import newton_descent, round_root
-from .sequences import ZERO_FREE_SYMBOLS, _check_blocks
+from .sequences import ZERO_FREE_SYMBOLS, _check_blocks, _require_int
 
 # Largest branching component whose Perron root growth_rate computes.
 # The characteristic polynomial costs O(n^3) big-integer operations.
@@ -272,6 +272,7 @@ def count_words(a: Automaton, n: int) -> int:
     reads the four two-symbol targets of every state: n // 2 steps of
     two symbols, then one of a single symbol when n is odd.
     """
+    _require_int("n", n)
     if not 0 <= n <= 64:
         raise ValueError(f"n must be between 0 and 64, got {n}")
     if a.start is None:

@@ -319,6 +319,12 @@ def _require_base(q: float) -> None:
         raise ValueError(f"base must be finite and exceed 1, got {q}")
 
 
+def _require_int(name: str, n) -> None:
+    """TypeError unless n is an int other than a bool (True would count as 1)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"{name} must be an int, got {type(n).__name__}")
+
+
 def _horner(symbols, digits, q: float) -> float:
     """sum digits[symbols[j]] * q**-(j+1) evaluated right to left.
 

@@ -29,6 +29,7 @@ from .sequences import (
     _horner,
     _pi_closed,
     _require_base,
+    _require_int,
     require_zero_free,
 )
 
@@ -208,6 +209,12 @@ def is_forbidden_block(w: str, m: float, q: float) -> bool:
     return lowest >= m - 1.0 - EPS_CMP or highest <= m / (q - 1.0) - 1.0 + EPS_CMP
 
 
+# Relative rounding allowance of the scan's carried head sums: a block
+# whose carried bounds clear both thresholds by (m + 1) times this is
+# not forbidden, so it needs no block test (see scan_forbidden).
+_HEAD_SUM_ALLOWANCE = 2.0 ** -40
+
+
 def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
     """All minimal forbidden blocks 1w with |1w| <= lmax.
 
@@ -219,33 +226,58 @@ def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
     word is extended by 1, then by m.  An extension whose suffix is a
     kept block is dropped (its other factors lie in the frontier word,
     which avoids every block), found by one ``str.endswith`` over the
-    tuple of kept blocks; otherwise its tail w is tested with
-    :func:`is_forbidden_block` and the word is either kept or joins the
-    next frontier.  Words avoiding the kept blocks are closed under
+    tuple of kept blocks; otherwise the word is either kept or joins
+    the next frontier.  Words avoiding the kept blocks are closed under
     prefixes, so this visits exactly the words that contain no kept
-    block, in length-then-lex order, and tests each of them once.
+    block, in length-then-lex order, and decides each of them once.
+
+    Each frontier entry carries its head sum h = sum_j d(w_j) q**-j,
+    extended as h + d*t with t = q**-|w| updated once per level, so the
+    two completions w 1^inf and w m^inf are worth about
+    lo = h + t/(q-1) and hi = h + m*t/(q-1).  When lo + A stays below
+    the test's threshold m - 1 - EPS_CMP and hi - A above its threshold
+    m/(q-1) - 1 + EPS_CMP, with A = (m + 1) * 2**-40, the word is not
+    forbidden and joins the frontier untested.  Every kept block and
+    every close call (a NaN too, as no comparison holds) is decided by
+    :func:`is_forbidden_block`, so the output is the same as when every
+    word is tested.  The allowance holds because at lmax <= 16 both
+    the carried bound and the closed form of the block test come from
+    at most about 60 roundings of positive terms, below m/(q-1) < m,
+    so each lies within 60 * 2**-53 * m (about 6.7e-15 m) of the true
+    value; A is over 100 times that, which also covers a ``pow`` a
+    few ulps off.
 
     Below r(m) the frontier stays small; above it, it grows by nearly a
     factor of two with each length (m = 3, q = 2.5: 4,841 words at
     length 15), which is why lmax is capped at 16.
     """
+    _require_int("lmax", lmax)
     if not 1 <= lmax <= 16:
         raise ValueError("lmax must be between 1 and 16")
     _require_block_params(m, q)  # also where lmax = 1 tests no word
+    allowance = (m + 1.0) * _HEAD_SUM_ALLOWANCE
+    lo_cut = m - 1.0 - EPS_CMP  # is_forbidden_block's thresholds
+    hi_cut = m / (q - 1.0) - 1.0 + EPS_CMP
     kept: tuple[str, ...] = ()
-    frontier = [""]
+    frontier = [("", 0.0)]
+    t = 1.0
     for _ in range(2, lmax + 1):
+        t /= q
+        steps = (("1", t), ("m", m * t))
+        low, high = t / (q - 1.0), m * t / (q - 1.0)
         grown = []
-        for tail in frontier:
-            for c in "1m":
+        for tail, h in frontier:
+            for c, d in steps:
                 ext = tail + c
                 word = "1" + ext
                 if word.endswith(kept):
                     continue
-                if is_forbidden_block(ext, m, q):
+                hd = h + d
+                clear = hd + low + allowance < lo_cut and hd + high - allowance > hi_cut
+                if not clear and is_forbidden_block(ext, m, q):
                     kept += (word,)
                 else:
-                    grown.append(ext)
+                    grown.append((ext, hd))
         frontier = grown
     alphabet = Alphabet.ternary(m)
     return [Word(alphabet, tuple(map(alphabet.chars.index, k))) for k in kept]

@@ -381,6 +381,14 @@ def test_count_words_bounds():
         count_words(a, -1)
 
 
+@pytest.mark.parametrize("n, kind", [(4.0, "float"), (True, "bool")])
+def test_count_words_takes_n_only_as_an_int(n, kind):
+    # 4.0 once failed inside range() and True counted as n = 1
+    a = build_safety_automaton(["11"])
+    with pytest.raises(TypeError, match=f"n must be an int, got {kind}"):
+        count_words(a, n)
+
+
 def test_counts_are_exact_integers_at_width_64():
     full = build_safety_automaton([])
     assert count_words(full, 64) == 2 ** 64

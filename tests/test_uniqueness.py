@@ -515,12 +515,9 @@ def _scan_by_brute_force(m, q, lmax):
     return kept, tested
 
 
-@settings(max_examples=60, deadline=None)
-@given(m=st.floats(2.0, 5.0), lmax=st.integers(1, 10), data=st.data())
-def test_scan_matches_brute_force(m, lmax, data):
-    # q ranges over (2, R(m)], so above r(m) too, where the frontier grows
-    q = data.draw(st.floats(2.0, R(m), exclude_min=True), label="q")
-    expected, expected_tested = _scan_by_brute_force(m, q, lmax)
+def _recorded_scan(m, q, lmax):
+    """scan_forbidden's blocks as text and the tails it passed to
+    is_forbidden_block."""
     tested = []
 
     def recording(w, *args):
@@ -530,8 +527,96 @@ def test_scan_matches_brute_force(m, lmax, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(uniqueness, "is_forbidden_block", recording)
         found = [w.text() for w in scan_forbidden(m, q, lmax)]
+    return found, tested
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.floats(2.0, 5.0), lmax=st.integers(1, 10), data=st.data())
+def test_scan_matches_brute_force(m, lmax, data):
+    # q ranges over (2, R(m)], so above r(m) too, where the frontier grows
+    q = data.draw(st.floats(2.0, R(m), exclude_min=True), label="q")
+    expected, expected_tested = _scan_by_brute_force(m, q, lmax)
+    found, tested = _recorded_scan(m, q, lmax)
     assert found == expected
-    assert tested == expected_tested
+    # the scan tests some of the brute-force words, in the same order,
+    # every kept block among them, and the words it skips are not forbidden
+    remaining = iter(expected_tested)
+    assert all(w in remaining for w in tested)
+    assert {k[1:] for k in expected} <= set(tested)
+    skipped = set(expected_tested) - set(tested)
+    assert all(is_forbidden_block(w, m, q) is False for w in skipped)
+
+
+def _flip(w, m, a, b):
+    """Adjacent floats a < b on which is_forbidden_block(w, m, .) differs,
+    bisected from a bracket [a, b] on which it does."""
+    at_a = is_forbidden_block(w, m, a)
+    assert is_forbidden_block(w, m, b) is not at_a
+    while math.nextafter(a, b) != b:
+        mid = (a + b) / 2
+        if is_forbidden_block(w, m, mid) is at_a:
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
+def _close_calls():
+    """(tail, q) at and next to the floats where a block test flips: each
+    tail of R3_BLOCKS that flips on (2, r(3)] or [r(3), R(3)], and the
+    flip of mm1m11mm1 near 2.3700310."""
+    cases = []
+    for block in R3_BLOCKS:
+        w = block[1:]
+        for a, b in ((2.0 + 1e-12, R3), (R3, R(3.0))):
+            if is_forbidden_block(w, 3.0, a) is not is_forbidden_block(w, 3.0, b):
+                cases.append((w, _flip(w, 3.0, a, b)))
+    # mm1m11mm1 and its prefix mm1m11mm share the completion
+    # mm1m11mm 1^inf, so they flip at the same float, and there the scan
+    # meets the prefix first: 1mm1m11mm is the block that comes and goes
+    flip = _flip("mm1m11mm1", 3.0, 2.3, R3)
+    assert _flip("mm1m11mm", 3.0, 2.3, R3) == flip
+    cases.append(("mm1m11mm", flip))
+    return [(w, q) for w, (a, b) in cases
+            for q in (math.nextafter(a, 0.0), a, b, math.nextafter(b, 3.0))]
+
+
+def test_scan_sends_close_calls_to_the_block_test():
+    cases = _close_calls()
+    assert len(cases) >= 4 * 8
+    for w, q in cases:
+        found, tested = _recorded_scan(3.0, q, len(w) + 1)
+        assert found == _scan_by_brute_force(3.0, q, len(w) + 1)[0]
+        assert w in tested, (w, q)
+
+
+def _reference_head_bounds(w, m, q):
+    """The scan's carried bounds on w 1^inf and w m^inf: the head sum and
+    weight updated symbol by symbol, with the scan's float operations."""
+    h, t = 0.0, 1.0
+    for c in w:
+        t /= q
+        h = h + (t if c == "1" else m * t)
+    return h + t / (q - 1.0), h + m * t / (q - 1.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(w=st.text(alphabet="1m", min_size=1, max_size=15), params=_BLOCK_PARAMS)
+def test_head_bounds_lie_well_within_the_allowance(w, params):
+    m, q = params
+    allowance = (m + 1.0) * uniqueness._HEAD_SUM_ALLOWANCE
+    lo, hi = _reference_head_bounds(w, m, q)
+    digits = {"1": 1.0, "m": float(m)}
+    assert abs(lo - _pi_closed(w.rstrip("1"), "1", digits, q)) <= allowance / 64
+    assert abs(hi - _pi_closed(w.rstrip("m"), "m", digits, q)) <= allowance / 64
+
+
+@pytest.mark.parametrize("q", [2.5, R3])
+def test_scan_tests_about_as_many_words_as_it_keeps(q):
+    # testing every word the scan meets took 19,512 calls at q = 2.5,
+    # which keeps one block, and 371 at r(3)
+    found, tested = _recorded_scan(3.0, q, 16)
+    assert len(tested) <= len(found) + 3
 
 
 def test_scan_limits():
@@ -539,6 +624,13 @@ def test_scan_limits():
         scan_forbidden(3.0, 2.3, 0)
     with pytest.raises(ValueError):
         scan_forbidden(3.0, 2.3, 17)
+
+
+@pytest.mark.parametrize("lmax, kind", [(2.0, "float"), (True, "bool")])
+def test_scan_takes_lmax_only_as_an_int(lmax, kind):
+    # 2.0 once failed inside range() and True scanned as lmax 1
+    with pytest.raises(TypeError, match=f"lmax must be an int, got {kind}"):
+        scan_forbidden(3, 2.3, lmax)
 
 
 # --- families ---------------------------------------------------------------
