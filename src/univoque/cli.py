@@ -155,7 +155,7 @@ def curve_rows(m_lo: float, m_hi: float, step: float) -> list[CurveRow]:
     a small tolerance).  The grid is index-based so rows are identical
     across runs regardless of accumulation order.  A grid of more than
     MAX_CURVE_ROWS rows raises ValueError."""
-    from .critical import P, R, branch_for, p_of_m, r_of_m
+    from .critical import P, R, _r_on, branch_for, p_of_m
     if not all(map(math.isfinite, (m_lo, m_hi, step))):
         raise ValueError("m_lo, m_hi and step must be finite")
     if m_lo < 2.0:
@@ -169,7 +169,7 @@ def curve_rows(m_lo: float, m_hi: float, step: float) -> list[CurveRow]:
     for k in range(_grid_size(m_lo, m_hi + 1e-12, step)):
         m = m_lo + k * step
         b = branch_for(m)
-        r = None if b is None else r_of_m(m)
+        r = None if b is None else _r_on(b, m)
         rows.append(CurveRow(m, P(m), R(m), p_of_m(m), r, b and b.label))
     return rows
 

@@ -290,8 +290,11 @@ def r_of_m(m: float) -> float | None:
     if not math.isfinite(m):
         raise ValueError(f"m must be finite, got {m}")
     b = branch_for(m)
-    if b is None:
-        return None
+    return None if b is None else _r_on(b, m)
+
+
+def _r_on(b: Branch, m: float) -> float:
+    """r(m) on the branch b that branch_for gives for the finite m."""
     m_num, m_den = m.as_integer_ratio()
     root = polynomial_root([-a * m_den - c * m_num for a, c in reversed(b.numerator)],
                            R(m), 2.0)

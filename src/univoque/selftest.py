@@ -12,6 +12,7 @@ import math
 from .automata import build_safety_automaton, classify_growth, growth_rate
 from .critical import (
     PLAIN,
+    WINDOW_PAD,
     P,
     R,
     _residual_fn,
@@ -140,10 +141,10 @@ def appendix_sign_suite(perturb_p: float = 0.0) -> list[tuple[str, bool]]:
         for q in q_spread(r912):
             add("alternating_reflection_root", m,
                 pi_complement(alt, m, q) - 1.0, r912 - q)
-        if c.m_d - 1e-12 <= m <= c.m_1 + 1e-12:
+        if c.m_d - WINDOW_PAD <= m <= c.m_1 + WINDOW_PAD:
             add("alternating_reflection_at_R", m,
                 pi_complement(alt, m, Rm) - 1.0, -1.0)
-        if m >= c.m_d - 1e-12:
+        if m >= c.m_d - WINDOW_PAD:
             add("alternating_reflection_at_P", m,
                 pi_complement(alt, m, Pm) - 1.0, 1.0, (c.m_d,))
 

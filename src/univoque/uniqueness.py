@@ -33,13 +33,6 @@ from .sequences import (
     require_zero_free,
 )
 
-# Longest sequence (preperiod plus period) the two checkers take.  The
-# preperiod's tails come from one backward pass and each tail in the
-# period from one Horner pass over a rotation of it, so a verdict costs
-# O(pre + p**2) for a period of p symbols.
-MAX_VERDICT_SYMBOLS = 2048
-
-
 class VerdictKind(str, Enum):
     PROVEN_UNIQUE = "ProvenUnique"
     PROVEN_NOT_UNIQUE = "ProvenNotUnique"
@@ -84,49 +77,38 @@ def _worst_witness(seq: EPSeq, q: float, only: int | None = None) -> Witness | N
     """Worst-slack condition over the positions of ``seq``, or only over
     those carrying symbol ``only``, and None when no condition applies.
     On a tie the earliest position wins, and "raise" before "lower".
-    A slack that is not finite, or a sequence longer than
-    MAX_VERDICT_SYMBOLS, raises ValueError."""
-    pre, per = seq.preperiod, seq.period
-    length = len(pre) + len(per)
-    if length > MAX_VERDICT_SYMBOLS:
-        raise ValueError(f"the sequence has {length} symbols; a verdict "
-                         f"takes at most {MAX_VERDICT_SYMBOLS}")
+    A slack that is not finite raises ValueError.
+
+    One backward pass values every tail in O(pre + p): t starts as the
+    period's closed form, the tail after the last symbol, and the tail
+    after position n - 1 is (c_n + t)/q, which divides the rounding t
+    carries by q, so each tail matches pi_eval to float resolution."""
+    symbols = seq.preperiod + seq.period
     digits = seq.alphabet.digits
     top = len(digits) - 1
     lo_tail = digits[0] / (q - 1.0)
     hi_tail = digits[-1] / (q - 1.0)
-    # The tail after position n is pi_eval of the sequence with its
-    # first n symbols dropped, computed with the same float operations.
-    # heads[k] is _horner of the last k symbols of the preperiod.
-    heads = [0.0]
-    for s in reversed(pre):
-        heads.append((heads[-1] + digits[s]) / q)
-    den = 1.0 - q ** -len(per)
-    sv = _horner(per, digits, q)
+    t = _horner(seq.period, digits, q) / (1.0 - q ** -len(seq.period))
     isfinite = math.isfinite
-    # the running worst (slack, position, condition); position 0: none yet
+    # the running worst (slack, position, condition), position 0: none yet;
+    # going backwards, <= hands a tie to the earlier position and to "raise"
     low, at, side = math.inf, 0, ""
-    npre = len(pre)
-    for n, j in enumerate(pre + per, 1):
-        if only is not None and j != only:
-            continue
-        if n <= npre:
-            tail = heads[npre - n] + q ** (n - npre) * sv / den
-        else:
-            k = n - npre  # per[k:] + per[:k] is per again at k = len(per)
-            tail = _horner(per[k:] + per[:k], digits, q) / den
-        if j < top:
-            slack = (digits[j + 1] - digits[j]) - (tail - lo_tail)
-            if not isfinite(slack):
-                raise ValueError(f"the slack overflows a float: {slack}")
-            if slack < low:
-                low, at, side = slack, n, "raise"
-        if j > 0:
-            slack = (digits[j] - digits[j - 1]) - (hi_tail - tail)
-            if not isfinite(slack):
-                raise ValueError(f"the slack overflows a float: {slack}")
-            if slack < low:
-                low, at, side = slack, n, "lower"
+    for n in range(len(symbols), 0, -1):
+        j = symbols[n - 1]
+        if only is None or j == only:
+            if j > 0:
+                slack = (digits[j] - digits[j - 1]) - (hi_tail - t)
+                if not isfinite(slack):
+                    raise ValueError(f"the slack overflows a float: {slack}")
+                if slack <= low:
+                    low, at, side = slack, n, "lower"
+            if j < top:
+                slack = (digits[j + 1] - digits[j]) - (t - lo_tail)
+                if not isfinite(slack):
+                    raise ValueError(f"the slack overflows a float: {slack}")
+                if slack <= low:
+                    low, at, side = slack, n, "raise"
+        t = (digits[j] + t) / q
     return Witness(at, side, low, abs(low) <= EPS_CMP) if at else None
 
 
@@ -135,7 +117,7 @@ def check_univoque_general(seq: EPSeq, q: float) -> Verdict:
 
     Works over any alphabet.  A failed condition at base q above the
     alphabet's necessity threshold only means the sufficient test was
-    inconclusive.  Longer than MAX_VERDICT_SYMBOLS raises ValueError.
+    inconclusive.  A verdict costs O(pre + p) time, one backward pass.
     """
     _require_base(q)
     return _decide(_worst_witness(seq, q), q, seq.alphabet.necessity_threshold)
@@ -162,8 +144,7 @@ def check_v_membership(seq: EPSeq, m: float, q: float) -> Verdict:
     Only positions carrying digit 1 constrain the verdict: the tail
     value must stay below m - 1 and its reflection below 1.  For
     q <= 1 + m/(m-1) a violated condition disproves uniqueness.  The
-    alphabet must be {0, 1, m}; longer than MAX_VERDICT_SYMBOLS raises
-    ValueError.
+    alphabet must be {0, 1, m}; a verdict costs O(pre + p) time.
     """
     _require_zero_free_params(m, q)
     alphabet = seq.alphabet

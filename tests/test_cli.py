@@ -21,8 +21,7 @@ from univoque.cli import (
     main,
 )
 from univoque.selftest import run_selftest
-from univoque.sequences import Alphabet, parse_seq
-from univoque.uniqueness import MAX_VERDICT_SYMBOLS
+from univoque.sequences import MAX_EXPANDED_LENGTH, Alphabet, parse_seq
 
 
 def run(capsys, *argv):
@@ -94,29 +93,52 @@ def test_check_general_rejects_a_slack_that_overflows(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("check", "(10)^w", "--q", "1.5", "--general", "--digits=-1e308,0"),
+     "the slack overflows a float: -inf"),
+    (("pi", "1^w", "--q", "2", "--digits", ","),
+     "--digits needs a comma-separated list"),
+    (("pi", "1^w", "--q", "2"), "specify --m (alphabet {0,1,m}) or --digits"),
+    (("pi", "m1", "--q", "2", "--m", "3", "--complement"),
+     "--complement needs an infinite sequence (use ^w)"),
+    (("pi", "1^w", "--q", "2", "--digits", "0,1", "--complement"),
+     "--complement needs --m"),
+    (("check", "1^w", "--q", "2.4", "--ternary"), "--ternary needs --m"),
+], ids=["raise-slack-overflows", "empty-digits", "no-alphabet",
+        "complement-of-a-word", "complement-without-m", "ternary-without-m"])
+def test_bad_input_gives_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def _length(notation):
     seq = parse_seq(notation, Alphabet.ternary(3))
     return len(seq.preperiod) + len(seq.period)
 
 
 @pytest.mark.parametrize("mode", ["--ternary", "--general"])
-def test_check_rejects_a_sequence_above_the_verdict_cap_promptly(capsys, mode):
-    notation = "(1m)^1024(1)^w"
-    assert _length(notation) == MAX_VERDICT_SYMBOLS + 1
+def test_check_rejects_a_sequence_above_the_length_cap_promptly(capsys, mode):
+    # one symbol more than (1m)^499999(m1)^w, refused by the parser
     t0 = time.perf_counter()
-    code, out, err = run(capsys, "check", notation, "--q", "2.4", mode, "--m", "3")
+    code, out, err = run(capsys, "check", "(1m)^500000(1)^w", "--q", "2.4", mode,
+                         "--m", "3")
     assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("error:") == 1
+    assert err.startswith(f"error: expands to more than {MAX_EXPANDED_LENGTH} symbols")
     assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("mode", ["--ternary", "--general"])
-def test_check_gives_a_verdict_at_the_verdict_cap(capsys, mode):
-    notation = "(1m)^1023(m1)^w"
-    assert _length(notation) == MAX_VERDICT_SYMBOLS
+def test_check_gives_a_verdict_at_the_length_cap(capsys, mode):
+    # one backward pass per verdict: a quadratic route would not finish
+    notation = "(1m)^499999(m1)^w"
+    assert _length(notation) == MAX_EXPANDED_LENGTH
+    t0 = time.perf_counter()
     code, out, err = run(capsys, "check", notation, "--q", "2.4", mode, "--m", "3")
+    assert time.perf_counter() - t0 < 10.0
     assert (code, err) == (0, "")
     assert json.loads(out)["verdict"] in ("ProvenUnique", "ProvenNotUnique",
                                            "Inconclusive")
@@ -315,10 +337,12 @@ GOLDEN_STDOUT = {
     ("automaton", "--scan", "3", "2.37019910851", "7", "--blocks", "1mm1m11mm1",
      "--classify"):
         "69393d4c5a467bfbee08b3d55009921991a9fb0585617cecb884f8451a9b7176",
+    # slack 0.03084404642701566; exactly 0.030844046427015764...
     ("check", "mm1(m11m)^w", "--q", "2.37", "--ternary", "--m", "3"):
-        "7b77a821eb74f3383d0b98669b65b66615a84e6f3fab71f708270c0c2e717f3b",
+        "42482eb3822421a67b2411f3f7a414c691a4799be9a3c25f49e7c1aec8d5f419",
+    # slack -0.07226107226107215; exactly -0.072261072261072382...
     ("check", "11(m1)^w", "--q", "2.3", "--general", "--m", "3"):
-        "e2c80be56207c5ef3974002eab2c69ee1f9cf1bf04a7584469423d7136a9a9e1",
+        "941e61282f45332c6196dbe8b6e03c6d5511cf0da5f6e09d4cc66be39d741de7",
     ("check", "1(10)^w", "--q", "1.8", "--general", "--digits", "0,1"):
         "a56c29dac81f11caa6312930723d5cc59acf572c5fad28be51ef5f659e32815b",
 }

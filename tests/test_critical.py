@@ -303,6 +303,20 @@ def test_a_root_builds_no_records(monkeypatch):
     assert built == []
 
 
+def test_curve_rows_finds_each_branch_once(monkeypatch):
+    found = []
+
+    def counting(m, _branch_for=branch_for):
+        found.append(m)
+        return _branch_for(m)
+
+    monkeypatch.setattr("univoque.critical.branch_for", counting)
+    rows = cli.curve_rows(2.0, 4.995, 0.01)
+    # one lookup per row: the label and the root share it
+    assert found == [row.m for row in rows]
+    assert sum(row.r is not None for row in rows) > 100
+
+
 def test_the_residual_check_still_fires(monkeypatch):
     b = Branch(*(getattr(branches()[0], f) for f in ("label", "notation", "form",
                                                       "lo", "hi")))

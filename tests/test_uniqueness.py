@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -301,10 +302,11 @@ def _dropped(seq, n):
     return EPSeq(seq.alphabet, (), per[k:] + per[:k])
 
 
-def _reference_worst_witness(seq, q, only=None):
-    """The checkers' condition loop with each tail evaluated as pi_eval
-    of the sequence with its first n symbols dropped, O(L) per position:
-    the route the checkers' one-pass tails must reproduce bit for bit."""
+def _reference_witnesses(seq, q, only=None):
+    """Every condition of the checkers' loop as a Witness, with each tail
+    evaluated as pi_eval of the sequence with its first n symbols
+    dropped, O(L) per position: an independent float route to the
+    checkers' slacks."""
     digits = seq.alphabet.digits
     lo_tail = digits[0] / (q - 1.0)
     hi_tail = digits[-1] / (q - 1.0)
@@ -321,32 +323,197 @@ def _reference_worst_witness(seq, q, only=None):
             slacks.append(("lower", (digits[j] - digits[j - 1]) - (hi_tail - tail)))
         found += [Witness(n, side, slack, abs(slack) <= EPS_CMP)
                   for side, slack in slacks]
-    return min(found, key=lambda w: w.slack, default=None)
+    return found
+
+
+def _reference_worst_witness(seq, q, only=None):
+    """The first lowest of _reference_witnesses, or None."""
+    return min(_reference_witnesses(seq, q, only), key=lambda w: w.slack, default=None)
+
+
+def _slack_bound(digits, q):
+    """B, a bound on how far the checkers' float slack can lie from the
+    dropped-prefix route's, or from the exact slack at the float q.
+
+    Let u = 2**-53, D = max |digit|, S = D + D/(q-1) and r = q/(q-1).
+    Every tail and every Horner partial sum lies within D/(q-1) of 0,
+    and every sum c + t formed on the way within S.
+
+    - A step t -> (c + t)/q rounds the sum (at most u*S) and the
+      quotient (at most u*S/q) and divides the error it carries by q,
+      so from an error e it leaves at most (e + 2u*S)/q.  Over the p
+      symbols of a period, started from 0, that is at most
+      2u*S*(1 - q**-p)/(q-1).
+    - Dividing by 1 - q**-p, computed with relative error at most
+      u + 2u/(q**p - 1), gives a periodic tail within
+      2u*S/(q-1) + 2u*S/q + 2u*S/(q*(q-1)) <= 6u*S*r of its value, and
+      the recurrence keeps every later tail within that bound too.
+      pi_eval's extra product and sum add at most 2u*S*r.
+    - The slack rounds d/(q-1), a difference of tails, a difference of
+      digits and the final difference, each at most 2u*S.
+
+    So either route's slack lies within 16u*S*r of the exact slack, to
+    first order, and the two within 32u*S*r of each other.  B doubles
+    that, to 64u*S*r, which absorbs the second-order terms and a
+    ``pow`` a few ulps off.
+    """
+    d = max(map(abs, digits))
+    return 64 * 2.0 ** -53 * (d + d / (q - 1.0)) * q / (q - 1.0)
+
+
+def _assert_matches_reference(verdict, seq, q, only=None):
+    """The verdict against the dropped-prefix route, up to B = _slack_bound.
+
+    B bounds |slack - reference slack| at every condition, so the two
+    minima differ by at most B, and the reference's slack at the
+    returned witness is at most the returned slack + B <= the returned
+    slack at the reference's witness + B <= the reference's minimum
+    + 2B: a different (position, condition) is a tie at float
+    resolution.  The kinds agree unless the reference's minimum lies
+    within B of the margin EPS_CMP that decides them."""
+    ref = _reference_worst_witness(seq, q, only)
+    got = verdict.witness
+    if ref is None:
+        assert got is None and verdict.kind is VerdictKind.PROVEN_UNIQUE
+        return
+    bound = _slack_bound(seq.alphabet.digits, q)
+    assert abs(got.slack - ref.slack) <= bound
+    if abs(ref.slack - EPS_CMP) > bound:
+        assert verdict.kind is uniqueness._decide(
+            ref, q, seq.alphabet.necessity_threshold).kind
+    if (got.position, got.condition) != (ref.position, ref.condition):
+        at_got, = (w for w in _reference_witnesses(seq, q, only)
+                   if (w.position, w.condition) == (got.position, got.condition))
+        assert at_got.slack - ref.slack <= 2 * bound
 
 
 _SYMBOLS = st.lists(st.integers(0, 4), max_size=14)
+# whole bases, where exact ties are common, and any base
+_BASES = st.one_of(st.sampled_from([2.0, 3.0, 4.0]), st.floats(1.05, 6.0))
+
+
+def _general_seq(digits, pre, per):
+    alphabet = Alphabet.from_digits(sorted(d / 2 for d in digits))
+    k = len(digits)
+    return EPSeq(alphabet, tuple(s % k for s in pre), tuple(s % k for s in per))
+
+
+def _zero_free_seq(m, pre, per):
+    # over {1, m}: symbol 1 or 2 of {0, 1, m}
+    return EPSeq(Alphabet.ternary(m), tuple(1 + s % 2 for s in pre),
+                 tuple(1 + s % 2 for s in per))
 
 
 @settings(max_examples=300, deadline=None)
 @given(digits=st.lists(st.integers(-6, 12), min_size=2, max_size=5, unique=True),
        pre=_SYMBOLS, per=_SYMBOLS.filter(bool), q=st.floats(1.05, 6.0))
 def test_general_witness_matches_the_dropped_prefix_route(digits, pre, per, q):
-    alphabet = Alphabet.from_digits(sorted(d / 2 for d in digits))
-    k = len(digits)
-    seq = EPSeq(alphabet, tuple(s % k for s in pre), tuple(s % k for s in per))
-    # Witness equality compares the slacks with ==
-    assert check_univoque_general(seq, q).witness == _reference_worst_witness(seq, q)
+    seq = _general_seq(digits, pre, per)
+    _assert_matches_reference(check_univoque_general(seq, q), seq, q)
 
 
 @settings(max_examples=300, deadline=None)
 @given(m=st.floats(2.0, 6.0), pre=_SYMBOLS, per=_SYMBOLS.filter(bool),
        q=st.floats(2.001, 4.0))
 def test_membership_witness_matches_the_dropped_prefix_route(m, pre, per, q):
-    # over {1, m}: symbol 1 or 2 of {0, 1, m}
-    seq = EPSeq(Alphabet.ternary(m), tuple(1 + s % 2 for s in pre),
-                tuple(1 + s % 2 for s in per))
-    assert check_v_membership(seq, m, q).witness == \
-        _reference_worst_witness(seq, q, only=1)
+    seq = _zero_free_seq(m, pre, per)
+    _assert_matches_reference(check_v_membership(seq, m, q), seq, q, only=1)
+
+
+def _exact_pi(seq, q):
+    """pi_q of an EPSeq in Fractions: exact at the float digits and base."""
+    digits = [Fraction(d) for d in seq.alphabet.digits]
+    q = Fraction(q)
+
+    def horner(symbols):
+        s = Fraction(0)
+        for i in reversed(symbols):
+            s = (s + digits[i]) / q
+        return s
+
+    # pre per^inf: pi_q(pre) + q**-|pre| * pi_q(per) * q**p / (q**p - 1)
+    p = len(seq.period)
+    head = horner(seq.preperiod)
+    return head + horner(seq.period) * q ** (p - len(seq.preperiod)) / (q ** p - 1)
+
+
+def _exact_worst_slack(seq, q, only=None):
+    """The lowest slack over the checkers' conditions, exactly, or None."""
+    digits = [Fraction(d) for d in seq.alphabet.digits]
+    lo_tail = digits[0] / (Fraction(q) - 1)
+    hi_tail = digits[-1] / (Fraction(q) - 1)
+    slacks = []
+    for n in range(1, len(seq.preperiod) + len(seq.period) + 1):
+        j = seq.symbol(n - 1)
+        if only is not None and j != only:
+            continue
+        tail = _exact_pi(_dropped(seq, n), q)
+        if j < len(digits) - 1:
+            slacks.append((digits[j + 1] - digits[j]) - (tail - lo_tail))
+        if j > 0:
+            slacks.append((digits[j] - digits[j - 1]) - (hi_tail - tail))
+    return min(slacks, default=None)
+
+
+def _assert_matches_exact(verdict, seq, q, only=None):
+    """The slack within B = _slack_bound of the exact worst slack, and
+    the kind the exact slack decides unless it lies within B of EPS_CMP."""
+    exact = _exact_worst_slack(seq, q, only)
+    if exact is None:
+        assert verdict.witness is None and verdict.kind is VerdictKind.PROVEN_UNIQUE
+        return
+    bound = _slack_bound(seq.alphabet.digits, q)
+    assert abs(Fraction(verdict.witness.slack) - exact) <= bound
+    if abs(exact - Fraction(EPS_CMP)) > bound:
+        if exact > EPS_CMP:
+            kind = VerdictKind.PROVEN_UNIQUE
+        elif q <= seq.alphabet.necessity_threshold + EPS_CMP:
+            kind = VerdictKind.PROVEN_NOT_UNIQUE
+        else:
+            kind = VerdictKind.INCONCLUSIVE
+        assert verdict.kind is kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(digits=st.lists(st.integers(-6, 12), min_size=2, max_size=5, unique=True),
+       pre=_SYMBOLS, per=_SYMBOLS.filter(bool), q=_BASES,
+       m=st.floats(2.0, 6.0), zq=st.floats(2.001, 4.0))
+def test_verdicts_match_the_exact_worst_slack(digits, pre, per, q, m, zq):
+    seq = _general_seq(digits, pre, per)
+    _assert_matches_exact(check_univoque_general(seq, q), seq, q)
+    seq = _zero_free_seq(m, pre, per)
+    _assert_matches_exact(check_v_membership(seq, m, zq), seq, zq, only=1)
+
+
+def _counting_horner(monkeypatch):
+    calls = []
+
+    def counting(symbols, digits, q, _horner=uniqueness._horner):
+        calls.append(len(symbols))
+        return _horner(symbols, digits, q)
+
+    monkeypatch.setattr(uniqueness, "_horner", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p", [1, 7, 64])
+def test_a_verdict_makes_one_horner_pass(monkeypatch, p):
+    rng = random.Random(p)
+    seq = EPSeq(T3, (1, 2, 2), tuple(rng.choice([1, 2]) for _ in range(p)))
+    calls = _counting_horner(monkeypatch)
+    check_univoque_general(seq, 2.4)
+    check_v_membership(seq, 3.0, 2.4)
+    # one closed form per verdict, over the period; no pass per position
+    assert calls == [p, p]
+
+
+@pytest.mark.parametrize("text", ["0(1)^w", "1^w"])
+def test_exact_ties_go_to_the_earliest_position_and_raise(text):
+    # at q = 2 over {0, 1, 2} every tail is 1.0 and every slack 0.0
+    # exactly: 0(1)^w ties position 1 "raise" with position 2 "raise"
+    # and "lower", 1^w ties "raise" with "lower" at position 1
+    w = check_univoque_general(parse_seq(text, B012), 2.0).witness
+    assert (w.position, w.condition, w.slack) == (1, "raise", 0.0)
 
 
 # --- forbidden blocks -------------------------------------------------------
