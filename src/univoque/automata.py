@@ -35,7 +35,8 @@ class Automaton:
     ``start`` is None when the language is empty.  ``forbidden`` records
     the blocks the automaton was built from (metadata only).
 
-    The table given is validated and then stored in normal form (see
+    The table given is validated (each state number an int other than
+    a bool, and in range) and then stored in normal form (see
     :func:`_normal_form`), with its strongly connected components,
     sinks first, in ``components``; building it again from its stored
     table gives an equal automaton.
@@ -48,14 +49,14 @@ class Automaton:
 
     def __post_init__(self) -> None:
         n = len(self.transitions)
-        if self.start is not None and not 0 <= self.start < n:
-            raise ValueError(f"start state {self.start} out of range")
+        if self.start is not None:
+            _check_state("start state", self.start, n)
         for s, row in enumerate(self.transitions):
             if len(row) != len(ZERO_FREE_SYMBOLS):
                 raise ValueError(f"state {s}: row width != symbol count")
             for t in row:
-                if t is not None and not 0 <= t < n:
-                    raise ValueError(f"state {s}: target {t} out of range")
+                if t is not None and (type(t) is not int or not 0 <= t < n):
+                    _check_state(f"state {s}: target", t, n)
         normal = _normal_form(self.transitions, self.start)
         for name, value in zip(("transitions", "start", "components"), normal):
             object.__setattr__(self, name, value)
@@ -70,6 +71,14 @@ class Automaton:
             for i, t in enumerate(row):
                 if t is not None:
                     yield s, i, t
+
+
+def _check_state(name: str, t, n: int) -> None:
+    """TypeError unless t is an int other than a bool, ValueError unless
+    it numbers one of the n states."""
+    _require_int(name, t)
+    if not 0 <= t < n:
+        raise ValueError(f"{name} {t} out of range")
 
 
 def build_safety_automaton(blocks: Iterable[str]) -> Automaton:
@@ -121,27 +130,34 @@ def _normal_form(transitions: Sequence[Sequence[int | None]], start: int | None)
     start, numbered breadth-first ('1' before 'm'), its start, and its
     components in Tarjan's order; ``((), None, ())`` if there is none.
 
-    A component is live when it has an internal edge or one into a live
-    component.  No dead state leads to a live one: a dead start keeps
-    nothing, and the rest keep their breadth-first and Tarjan orders.
+    Trimming comes first: a state is dead once none of its edges leads
+    to a live state, which one backward pass over the out-degrees
+    settles.  Only the live states reachable from the start are then
+    numbered, and Tarjan's search runs once, on the stored rows.
     """
-    order = [] if start is None else [start]
-    relabel = dict.fromkeys(order, 0)
+    degree = [len(row) - row.count(None) for row in transitions]
+    preds: list[list[int]] = [[] for _ in transitions]
+    for s, row in enumerate(transitions):
+        for t in row:
+            if t is not None:
+                preds[t].append(s)
+    dead = [s for s, k in enumerate(degree) if not k]
+    for t in dead:  # grows while it is read
+        for s in preds[t]:
+            degree[s] -= 1
+            if not degree[s]:
+                dead.append(s)
+    if start is None or not degree[start]:
+        return (), None, ()
+    order = [start]
+    relabel = {start: 0}
     for s in order:  # grows while it is read
         for t in transitions[s]:
-            if t is not None and t not in relabel:
+            if t is not None and degree[t] and t not in relabel:
                 relabel[t] = len(order)
                 order.append(t)
-    table = [list(map(relabel.get, transitions[s])) for s in order]
-    comps = strongly_connected_components(table)
-    live: set[int] = set()
-    for comp in comps:  # sinks first: the edges leaving comp are settled
-        if len(comp) > 1 or any(t in live or t == comp[0] for t in table[comp[0]]):
-            live.update(comp)
-    keep = {s: i for i, s in enumerate(sorted(live))}
-    rows = tuple([tuple(map(keep.get, table[s])) for s in keep])
-    live_comps = tuple(tuple(keep[s] for s in c) for c in comps if c[0] in live)
-    return rows, 0 if rows else None, live_comps
+    rows = tuple([tuple(map(relabel.get, transitions[s])) for s in order])
+    return rows, 0, tuple(strongly_connected_components(rows))
 
 
 def strongly_connected_components(
@@ -270,7 +286,11 @@ def count_words(a: Automaton, n: int) -> int:
     length-k paths from s.  A missing edge leads to a sentinel state
     whose row loops on itself, so its count stays 0, and each step
     reads the four two-symbol targets of every state: n // 2 steps of
-    two symbols, then one of a single symbol when n is odd.
+    two symbols, then one of a single symbol when n is odd.  The steps
+    stop early at a fixed point: once a two-symbol step A^2 leaves f
+    unchanged, so would every later one, and the single step, if any,
+    is taken from that f.  Automata with finitely many infinite paths
+    reach it within about as many symbols as they have states.
     """
     _require_int("n", n)
     if not 0 <= n <= 64:
@@ -283,7 +303,10 @@ def count_words(a: Automaton, n: int) -> int:
     pairs = [rows[x] + rows[y] for x, y in rows]
     f = [1] * z + [0]
     for _ in range(n // 2):
-        f = [f[i] + f[j] + f[k] + f[l] for i, j, k, l in pairs]
+        g = [f[i] + f[j] + f[k] + f[l] for i, j, k, l in pairs]
+        if g == f:  # A^2 f = f: every later step leaves f as it is
+            break
+        f = g
     if n % 2:
         f = [f[x] + f[y] for x, y in rows]
     return f[a.start]

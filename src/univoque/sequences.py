@@ -223,50 +223,50 @@ def parse_seq(text: str, alphabet: Alphabet) -> EPSeq | Word:
     counts may not expand the text beyond ``MAX_EXPANDED_LENGTH``
     symbols, and groups may not nest deeper than ``MAX_GROUP_DEPTH``.
     """
-    elements, pos = _parse_items(text, 0, alphabet, depth=0)
+    symbols: list[int] = []
+    last, pos = _parse_items(text, 0, alphabet, symbols, depth=0)
     if pos < len(text):  # stopped at a final '^w'
-        period = elements.pop()
-        pre = [s for e in elements for s in e]
-        return EPSeq(alphabet, tuple(pre), tuple(period))
-    return Word(alphabet, tuple(s for e in elements for s in e))
+        return EPSeq(alphabet, tuple(symbols[:last]), tuple(symbols[last:]))
+    return Word(alphabet, tuple(symbols))
 
 
-def _parse_items(text: str, pos: int, alphabet: Alphabet,
-                 depth: int) -> tuple[list[list[int]], int]:
-    """Items from ``pos`` up to the end of the text, the ')' closing a
-    group (``depth`` > 0 inside one), or a final '^w'; returns them and
-    the position it stopped at."""
-    elements: list[list[int]] = []
-    length = 0
+def _parse_items(text: str, pos: int, alphabet: Alphabet, symbols: list[int],
+                 depth: int) -> tuple[int | None, int]:
+    """Appends to ``symbols`` the items from ``pos`` up to the end of the
+    text, the ')' closing a group (``depth`` > 0 inside one), or a final
+    '^w'; returns the index in ``symbols`` where the last of them starts
+    (None if there is none) and the position it stopped at."""
+    base = len(symbols)
+    last = None
     n = len(text)
     while pos < n:
         c = text[pos]
         if c == "^":
-            if not elements:
+            if last is None:
                 raise NotationError("'^' without a preceding item", pos)
             if pos + 1 < n and text[pos + 1] == "w":
                 if depth or pos + 2 != n:
                     raise NotationError("'^w' only allowed in final position", pos)
                 break
             count, end = _parse_count(text, pos + 1)
-            length += len(elements[-1]) * (count - 1)
-            if length > MAX_EXPANDED_LENGTH:
+            size = len(symbols)
+            if size - base + (size - last) * (count - 1) > MAX_EXPANDED_LENGTH:
                 raise NotationError(
                     f"expands to more than {MAX_EXPANDED_LENGTH} symbols", pos + 1)
-            elements[-1] = elements[-1] * count
+            symbols[last:] = symbols[last:] * count
             pos = end
         elif c == "(":
             if depth == MAX_GROUP_DEPTH:
                 raise NotationError(
                     f"groups nested deeper than {MAX_GROUP_DEPTH}", pos)
-            group, end = _parse_items(text, pos + 1, alphabet, depth + 1)
+            start = len(symbols)
+            _, end = _parse_items(text, pos + 1, alphabet, symbols, depth + 1)
             if end >= n:
                 raise NotationError("unmatched '('", pos)
-            if not group:
+            if len(symbols) == start:
                 raise NotationError("empty group", pos)
-            elements.append([s for e in group for s in e])
-            length += len(elements[-1])
-            if length > MAX_EXPANDED_LENGTH:
+            last = start
+            if len(symbols) - base > MAX_EXPANDED_LENGTH:
                 raise NotationError(
                     f"expands to more than {MAX_EXPANDED_LENGTH} symbols", pos)
             pos = end + 1
@@ -278,10 +278,10 @@ def _parse_items(text: str, pos: int, alphabet: Alphabet,
             sym = alphabet.index_of_char(c)
             if sym is None:
                 raise NotationError(f"unknown digit character {c!r}", pos)
-            elements.append([sym])
-            length += 1
+            last = len(symbols)
+            symbols.append(sym)
             pos += 1
-    return elements, pos
+    return last, pos
 
 
 def _parse_count(text: str, pos: int) -> tuple[int, int]:

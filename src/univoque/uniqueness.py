@@ -202,15 +202,15 @@ def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
     Minimal means no listed word contains another as a factor; the list
     is ordered by length, then lexicographically with 1 < m.
 
-    The scan goes level by level over a frontier: the words 1w of the
-    current length that contain no block kept so far.  Each frontier
-    word is extended by 1, then by m.  An extension whose suffix is a
-    kept block is dropped (its other factors lie in the frontier word,
-    which avoids every block), found by one ``str.endswith`` over the
-    tuple of kept blocks; otherwise the word is either kept or joins
-    the next frontier.  Words avoiding the kept blocks are closed under
-    prefixes, so this visits exactly the words that contain no kept
-    block, in length-then-lex order, and decides each of them once.
+    The scan goes level by level over a frontier of words 1w that
+    contain no block kept so far.  Each frontier word is extended by 1,
+    then by m.  An extension whose suffix is a kept block is dropped
+    (its other factors lie in the frontier word, which avoids every
+    block), found by one ``str.endswith`` over the tuple of kept
+    blocks; otherwise the word is kept, joins the next frontier, or is
+    dropped as having no forbidden descendant (below).  Every proper
+    prefix of a kept block passes through the frontier, in
+    length-then-lex order, so the blocks come out in that order.
 
     Each frontier entry carries its head sum h = sum_j d(w_j) q**-j,
     extended as h + d*t with t = q**-|w| updated once per level, so the
@@ -218,8 +218,8 @@ def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
     lo = h + t/(q-1) and hi = h + m*t/(q-1).  When lo + A stays below
     the test's threshold m - 1 - EPS_CMP and hi - A above its threshold
     m/(q-1) - 1 + EPS_CMP, with A = (m + 1) * 2**-40, the word is not
-    forbidden and joins the frontier untested.  Every kept block and
-    every close call (a NaN too, as no comparison holds) is decided by
+    forbidden and goes on untested.  Every kept block and every close
+    call (a NaN too, as no comparison holds) is decided by
     :func:`is_forbidden_block`, so the output is the same as when every
     word is tested.  The allowance holds because at lmax <= 16 both
     the carried bound and the closed form of the block test come from
@@ -228,9 +228,21 @@ def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
     value; A is over 100 times that, which also covers a ``pow`` a
     few ulps off.
 
-    Below r(m) the frontier stays small; above it, it grows by nearly a
-    factor of two with each length (m = 3, q = 2.5: 4,841 words at
-    length 15), which is why lmax is capped at 16.
+    Only the words whose interval [lo, hi] meets a threshold go on.
+    Over {1, m} with q > 2 lexicographic order is value order, so the
+    completions of a descendant of w lie in the completions of w: its
+    true interval nests inside that of w, and its carried bounds lie
+    within twice the rounding above of w's carried interval.  When hi
+    stays below m - 1 - EPS_CMP by 2A and lo above m/(q-1) - 1 + EPS_CMP
+    by 2A, every descendant clears both thresholds by A: none would be
+    tested or kept, so w leaves the frontier.  What goes on are the
+    prefixes of the extremal sequences near the two thresholds, a few
+    words per length (the lexicographic picture of Parry 1960 and of
+    de Vries and Komornik 2009): at lmax 16 the frontier holds 19
+    words in all at m = 3, q = 2.5, against the 19,511 that avoid the
+    kept blocks.  lmax is capped at 16, where the allowance is proven;
+    past about 36 symbols a cylinder is narrower than 2A, and the
+    words near a threshold would multiply again.
     """
     _require_int("lmax", lmax)
     if not 1 <= lmax <= 16:
@@ -254,10 +266,11 @@ def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
                 if word.endswith(kept):
                     continue
                 hd = h + d
-                clear = hd + low + allowance < lo_cut and hd + high - allowance > hi_cut
+                lo, hi = hd + low, hd + high
+                clear = lo + allowance < lo_cut and hi - allowance > hi_cut
                 if not clear and is_forbidden_block(ext, m, q):
                     kept += (word,)
-                else:
+                elif not (hi + 2 * allowance < lo_cut and lo - 2 * allowance > hi_cut):
                     grown.append((ext, hd))
         frontier = grown
     alphabet = Alphabet.ternary(m)

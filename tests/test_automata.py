@@ -510,6 +510,63 @@ def test_stored_form_matches_the_reverse_propagation_route(table):
     assert (a.transitions, a.start) == _reference_normal_form(*table)
 
 
+def _reference_component_normal_form(transitions, start):
+    """The stored table, start and components by component liveness: the
+    states reachable from the start are numbered breadth-first, Tarjan's
+    search runs on that table, a component is live when it has an
+    internal edge or one into a live component (sinks come first), and
+    the live states and components are renumbered in order."""
+    order = [] if start is None else [start]
+    relabel = dict.fromkeys(order, 0)
+    for s in order:
+        for t in transitions[s]:
+            if t is not None and t not in relabel:
+                relabel[t] = len(order)
+                order.append(t)
+    table = [list(map(relabel.get, transitions[s])) for s in order]
+    comps = strongly_connected_components(table)
+    live = set()
+    for comp in comps:
+        if len(comp) > 1 or any(t in live or t == comp[0] for t in table[comp[0]]):
+            live.update(comp)
+    keep = {s: i for i, s in enumerate(sorted(live))}
+    rows = tuple(tuple(map(keep.get, table[s])) for s in keep)
+    live_comps = tuple(tuple(keep[s] for s in c) for c in comps if c[0] in live)
+    return rows, 0 if rows else None, live_comps
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_tables())
+@example((((1, 2), (0, None), (None, None), (0, 0)), 0))
+@example((((1, None), (2, 2), (None, None)), 0))
+# Tarjan's search from 0 meets the dead state 1 before the live cycle at 2
+@example((((1, 2), (3, None), (2, 4), (None, None), (0, None)), 0))
+def test_stored_form_matches_the_component_liveness_route(table):
+    a = Automaton(*table)
+    assert (a.transitions, a.start, a.components) == \
+        _reference_component_normal_form(*table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet="1m", min_size=1, max_size=7), max_size=8))
+@example(list(SEVEN_BLOCKS))
+@example(list(SEVEN_BLOCKS + (EIGHTH_BLOCK,)))
+def test_built_automata_match_the_component_liveness_route(blocks):
+    raw = []
+    normal_form = automata._normal_form
+
+    def recording(transitions, start):
+        raw.append((transitions, start))
+        return normal_form(transitions, start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "_normal_form", recording)
+        a = build_safety_automaton(blocks)
+    (table,) = raw
+    assert (a.transitions, a.start, a.components) == \
+        _reference_component_normal_form(*table)
+
+
 _AUTOMATA = st.one_of(
     st.lists(st.text(alphabet="1m", min_size=1, max_size=7), min_size=0, max_size=8)
     .map(build_safety_automaton),
@@ -642,6 +699,11 @@ def _reference_count_words(a, n):
 @example(build_safety_automaton([]), 64)
 @example(build_safety_automaton(["11", "mmm"]), 1)
 @example(build_safety_automaton(["11", "mmm"]), 63)
+# finitely many paths: a two-symbol step reaches a fixed point long
+# before n // 2 steps, and n is odd, so a single step follows it
+@example(build_safety_automaton(["11", "mm"]), 63)
+@example(build_safety_automaton(["11", "1mm", "mm1m"]), 7)
+@example(Automaton(((1, None), (None, 2), (3, None), (4, 5), (4, None), (None, 5)), 0), 9)
 def test_count_words_matches_the_forward_dict_route(a, n):
     assert count_words(a, n) == _reference_count_words(a, n)
 
@@ -708,6 +770,19 @@ def test_invalid_blocks_rejected():
         build_safety_automaton(["1x"])
     with pytest.raises(ValueError):
         build_safety_automaton([""])
+
+
+@pytest.mark.parametrize("rows, start, message", [
+    # 0.5 once failed inside the normal form as "tuple indices must be
+    # integers", and True passed as state 1, out of range
+    (((0.5, None),), 0, "state 0: target must be an int, got float"),
+    (((0, None), (True, None)), 0, "state 1: target must be an int, got bool"),
+    (((0, None),), 0.0, "start state must be an int, got float"),
+    (((0, None),), False, "start state must be an int, got bool"),
+])
+def test_automaton_takes_state_numbers_only_as_ints(rows, start, message):
+    with pytest.raises(TypeError, match=message):
+        Automaton(rows, start)
 
 
 def test_automaton_validates_shape():

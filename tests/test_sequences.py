@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -207,6 +208,20 @@ def test_expansion_cap_raises_before_allocating(text, offset):
     assert time.perf_counter() - start < 1.0
     assert exc.value.offset == offset
     assert str(MAX_EXPANDED_LENGTH) in str(exc.value)
+
+
+def test_parsing_allocates_no_object_per_symbol():
+    # a one-element list per plain symbol once peaked at about 10 MB here;
+    # the symbols themselves, as a list and the two tuples, take 3 MB
+    text = "1m" * 50_000 + "(1)^w"
+    tracemalloc.start()
+    try:
+        seq = parse_seq(text, T3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seq.preperiod) == 100_000
+    assert peak < 5_000_000
 
 
 def test_expansion_cap_is_inclusive():

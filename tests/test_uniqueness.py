@@ -714,6 +714,50 @@ def test_scan_matches_brute_force(m, lmax, data):
     assert all(is_forbidden_block(w, m, q) is False for w in skipped)
 
 
+def _reference_frontier_scan(m, q, lmax):
+    """scan_forbidden without the boundary walk: every extension that
+    avoids the kept blocks and is not kept joins the next frontier.
+    Returns the blocks as text and the tails passed to is_forbidden_block."""
+    allowance = (m + 1.0) * uniqueness._HEAD_SUM_ALLOWANCE
+    lo_cut = m - 1.0 - EPS_CMP
+    hi_cut = m / (q - 1.0) - 1.0 + EPS_CMP
+    kept, tested = (), []
+    frontier = [("", 0.0)]
+    t = 1.0
+    for _ in range(2, lmax + 1):
+        t /= q
+        low, high = t / (q - 1.0), m * t / (q - 1.0)
+        grown = []
+        for tail, h in frontier:
+            for c, d in (("1", t), ("m", m * t)):
+                ext = tail + c
+                if ("1" + ext).endswith(kept):
+                    continue
+                hd = h + d
+                if not (hd + low + allowance < lo_cut and hd + high - allowance > hi_cut):
+                    tested.append(ext)
+                    if is_forbidden_block(ext, m, q):
+                        kept += ("1" + ext,)
+                        continue
+                grown.append((ext, hd))
+        frontier = grown
+    return list(kept), tested
+
+
+# above r(m), where the full frontier nearly doubles with each length
+@pytest.mark.parametrize("m, q", [
+    (3.0, 2.5), (2.2, R(2.2)), (4.5, R(4.5)), (3.0, R3 + 1e-9)])
+def test_boundary_walk_matches_the_full_frontier_at_depth_16(m, q):
+    assert _recorded_scan(m, q, 16) == _reference_frontier_scan(m, q, 16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_BLOCK_PARAMS, lmax=st.integers(1, 12))
+def test_boundary_walk_matches_the_full_frontier(params, lmax):
+    m, q = params
+    assert _recorded_scan(m, q, lmax) == _reference_frontier_scan(m, q, lmax)
+
+
 def _flip(w, m, a, b):
     """Adjacent floats a < b on which is_forbidden_block(w, m, .) differs,
     bisected from a bracket [a, b] on which it does."""
