@@ -3,7 +3,6 @@ Newton's method in floats, then exact tests at float midpoints."""
 
 from __future__ import annotations
 
-import math
 import struct
 from collections.abc import Callable, Sequence
 
@@ -37,7 +36,7 @@ def round_root(above: Callable[[int, int], bool], x: float) -> float:
     takes two exact tests.
     """
     def below_upper_midpoint(i: int) -> bool:
-        return above(*_upper_midpoint(_float_at(i)))
+        return above(*_upper_midpoint(i))
 
     # ordinals lo < hi of floats >= 0, the test false at lo and true at hi
     i = _ordinal(x)
@@ -80,11 +79,15 @@ def polynomial_root(coeffs: Sequence[int], hi: float, lo: float) -> float:
     return x
 
 
-def _upper_midpoint(y: float) -> tuple[int, int]:
-    """num/den = y + ulp(y)/2, the midpoint of the float y >= 0 and the
-    next one up: exact, as y is a multiple of its ulp (a power of 2)."""
-    (n, d), (un, ud) = y.as_integer_ratio(), math.ulp(y).as_integer_ratio()
-    return 2 * n * (ud // d) + un, 2 * ud
+def _upper_midpoint(i: int) -> tuple[int, int]:
+    """num/den, the midpoint of the float with ordinal i >= 0 and the
+    next one up, read off its bits: exponent field e > 0 and fraction f
+    give (2^52 + f) 2^(e - 1075), and e = 0 gives f 2^-1074."""
+    e, f = divmod(i, 1 << 52)
+    if e > 2046:  # i is not a finite float's: the search passed them all
+        raise ValueError("the root lies above the largest float")
+    num, e = 2 * (f | 1 << 52 if e else f) + 1, max(e, 1)
+    return (num << (e - 1076), 1) if e > 1076 else (num, 1 << (1076 - e))
 
 
 def _ordinal(x: float) -> int:

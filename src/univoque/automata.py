@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
+from operator import add, and_, eq, itemgetter, mul, rshift, sub
 from typing import Iterable, Sequence
 
 from ._rounding import newton_descent, round_root
@@ -103,10 +105,18 @@ def build_safety_automaton(blocks: Iterable[str]) -> Automaton:
     # one breadth-first pass turns each trie row into its transition
     # row in place: a missing child becomes the fail link's transition.
     # A node's fail link and row only read rows of shallower nodes,
-    # which the pass has already finished.
+    # which the pass has already finished.  A node matches when a block
+    # ends at it or at its fail link.  The pass numbers the other nodes
+    # in its order and skips what lies below a matching one, where every
+    # word holds a block; edges into matching nodes are cut.
     fail = [0] * len(trie)
-    order = [0]
+    alive: list[int | None] = [None] * len(trie)
+    order, kept = [0], []
     for u in order:  # grows while it is read
+        if terminal[u]:
+            continue
+        alive[u] = len(kept)
+        kept.append(u)
         back = trie[fail[u]] if u else (0, 0)
         row = trie[u]
         for i in (0, 1):
@@ -117,11 +127,7 @@ def build_safety_automaton(blocks: Iterable[str]) -> Automaton:
                 fail[v] = back[i]
                 terminal[v] = terminal[v] or terminal[back[i]]
                 order.append(v)
-
-    # every edge into a matching state is cut, so no edge enters one
-    # and the normal form drops them, rows and all
-    alive = [None if t else u for u, t in enumerate(terminal)]
-    rows = tuple([(alive[x], alive[y]) for x, y in trie])
+    rows = tuple([(alive[x], alive[y]) for x, y in map(trie.__getitem__, kept)])
     return Automaton(rows, 0, tuple(texts))
 
 
@@ -131,22 +137,23 @@ def _normal_form(transitions: Sequence[Sequence[int | None]], start: int | None)
     components in Tarjan's order; ``((), None, ())`` if there is none.
 
     Trimming comes first: a state is dead once none of its edges leads
-    to a live state, which one backward pass over the out-degrees
-    settles.  Only the live states reachable from the start are then
-    numbered, and Tarjan's search runs once, on the stored rows.
+    to a live state, which a backward pass over the out-degrees settles
+    when some state has no edge.  The live states reachable from the
+    start are then numbered, and Tarjan's search runs once, on the rows.
     """
     degree = [len(row) - row.count(None) for row in transitions]
-    preds: list[list[int]] = [[] for _ in transitions]
-    for s, row in enumerate(transitions):
-        for t in row:
-            if t is not None:
-                preds[t].append(s)
     dead = [s for s, k in enumerate(degree) if not k]
-    for t in dead:  # grows while it is read
-        for s in preds[t]:
-            degree[s] -= 1
-            if not degree[s]:
-                dead.append(s)
+    if dead:
+        preds: list[list[int]] = [[] for _ in transitions]
+        for s, row in enumerate(transitions):
+            for t in row:
+                if t is not None:
+                    preds[t].append(s)
+        for t in dead:  # grows while it is read
+            for s in preds[t]:
+                degree[s] -= 1
+                if not degree[s]:
+                    dead.append(s)
     if start is None or not degree[start]:
         return (), None, ()
     order = [start]
@@ -156,7 +163,11 @@ def _normal_form(transitions: Sequence[Sequence[int | None]], start: int | None)
             if t is not None and degree[t] and t not in relabel:
                 relabel[t] = len(order)
                 order.append(t)
-    rows = tuple([tuple(map(relabel.get, transitions[s])) for s in order])
+    if order == list(range(len(transitions))):  # all live, in this order
+        rows = tuple(map(tuple, transitions))
+    else:
+        get = relabel.get
+        rows = tuple([(get(x), get(y)) for x, y in map(transitions.__getitem__, order)])
     return rows, 0, tuple(strongly_connected_components(rows))
 
 
@@ -247,7 +258,10 @@ def classify_growth(a: Automaton) -> GrowthClass:
     if a.start is None:
         return GrowthClass(GrowthKind.EMPTY, 0)
     comps = a.components
-    comp_of = {s: ci for ci, comp in enumerate(comps) for s in comp}
+    comp_of = [0] * a.n_states  # the index of each state's component
+    for ci, comp in enumerate(comps):
+        for s in comp:
+            comp_of[s] = ci
     no_cycle = len(comps)
     # lowest[ci]: the lowest-numbered cycle reachable from component ci,
     # ci included, or ``no_cycle``; paths[ci]: infinite paths from ci
@@ -286,30 +300,31 @@ def count_words(a: Automaton, n: int) -> int:
     length-k paths from s.  A missing edge leads to a sentinel state
     whose row loops on itself, so its count stays 0, and each step
     reads the four two-symbol targets of every state: n // 2 steps of
-    two symbols, then one of a single symbol when n is odd.  The steps
-    stop early at a fixed point: once a two-symbol step A^2 leaves f
-    unchanged, so would every later one, and the single step, if any,
-    is taken from that f.  Automata with finitely many infinite paths
-    reach it within about as many symbols as they have states.
+    two symbols, then one of a single symbol when n is odd.  A step's
+    increment A^2 f - f is A^2 times the step before's, so once two in
+    a row are equal, d say, A^2 d = d: every later step adds d again
+    and f jumps by d times the steps left (the first stops at d = 0).
+    Bounded counts, and often linear ones, get there within about as
+    many steps as there are states; the start state is tested first.
     """
     _require_int("n", n)
     if not 0 <= n <= 64:
         raise ValueError(f"n must be between 0 and 64, got {n}")
     if a.start is None:
         return 0
-    z = a.n_states
+    z, s = a.n_states, a.start
     rows = [(z if x is None else x, z if y is None else y) for x, y in a.transitions]
     rows.append((z, z))
     pairs = [rows[x] + rows[y] for x, y in rows]
-    f = [1] * z + [0]
-    for _ in range(n // 2):
+    f = prev = [1] * z + [0]
+    for left in range(n // 2 - 1, -1, -1):  # steps left after this one
         g = [f[i] + f[j] + f[k] + f[l] for i, j, k, l in pairs]
-        if g == f:  # A^2 f = f: every later step leaves f as it is
+        if g[s] - f[s] == f[s] - prev[s] and all(
+                map(eq, map(sub, g, f), map(sub, f, prev))):  # A^2 d = d
+            f = [x + left * (x - y) for x, y in zip(g, f)]
             break
-        f = g
-    if n % 2:
-        f = [f[x] + f[y] for x, y in rows]
-    return f[a.start]
+        prev, f = f, g
+    return f[rows[s][0]] + f[rows[s][1]] if n % 2 else f[s]
 
 
 def growth_rate(a: Automaton) -> float:
@@ -318,20 +333,21 @@ def growth_rate(a: Automaton) -> float:
     correctly rounded to a float.
 
     A component without internal edges contributes nothing, a single
-    cycle exactly 1.0, and a branching component the Perron root of its
-    adjacency matrix (:func:`_perron_root`).  A branching component of
-    more than ``MAX_PERRON_STATES`` states raises ValueError.
+    cycle exactly 1.0, one state with k loops k, and a branching
+    component the Perron root of its adjacency matrix
+    (:func:`_perron_root`).  A branching component of more than
+    ``MAX_PERRON_STATES`` states raises ValueError.
     """
     if a.start is None:
         return 0.0
     best = 0.0
     for comp in a.components:
-        idx = {s: i for i, s in enumerate(comp)}
-        succ = [[idx[t] for t in a.transitions[s] if t in idx] for s in comp]
-        edges = sum(map(len, succ))
-        if edges == 0:
+        if len(comp) == 1:
+            best = max(best, float(a.transitions[comp[0]].count(comp[0])))
             continue
-        if edges == len(comp):
+        local = {s: i for i, s in enumerate(comp)}
+        succ = [[local[t] for t in a.transitions[s] if t in local] for s in comp]
+        if sum(map(len, succ)) == len(comp):
             best = max(best, 1.0)
             continue
         if len(comp) > MAX_PERRON_STATES:
@@ -354,20 +370,25 @@ def _charpoly(succ: list[list[int]]) -> list[int]:
     packed into one integer, a field of ``width`` bits per column; the
     entries count walks, so they lie in [0, d^n] for largest row sum
     d, and the packed sums never carry from one field into the next.
+    A row has one or two successors, so a pass is two gathers of packed
+    rows added pairwise, with a zero row after the n rows for a missing
+    second successor.
     """
     n = len(succ)
     width = (max(map(len, succ)) ** n).bit_length() + 1
     mask = (1 << width) - 1
-    rows = [1 << (width * i) for i in range(n)]
+    shifts = range(0, width * n, width)
+    first = itemgetter(*[r[0] for r in succ], n)
+    second = itemgetter(*[r[1] if len(r) == 2 else n for r in succ], n)
+    rows = [1 << shift for shift in shifts] + [0]
     sums = []
     for _ in range(n):
-        rows = [rows[r[0]] + rows[r[1]] if len(r) == 2 else sum(rows[t] for t in r)
-                for r in succ]
-        sums.append(sum((row >> (width * i)) & mask for i, row in enumerate(rows)))
+        rows = list(map(add, first(rows), second(rows)))
+        sums.append(sum(map(and_, map(rshift, rows, shifts), repeat(mask))))
+    sums.reverse()  # p_n, ..., p_1, so sums[n - k:] is p_k, ..., p_1
     coeffs = [1]
     for k in range(1, n + 1):
-        acc = sums[k - 1] + sum(coeffs[i] * sums[k - 1 - i] for i in range(1, k))
-        coeffs.append(-acc // k)
+        coeffs.append(-sum(map(mul, coeffs, sums[n - k:])) // k)
     return coeffs
 
 

@@ -168,9 +168,9 @@ def curve_rows(m_lo: float, m_hi: float, step: float) -> list[CurveRow]:
     rows = []
     for k in range(_grid_size(m_lo, m_hi + 1e-12, step)):
         m = m_lo + k * step
-        b = branch_for(m)
-        r = None if b is None else _r_on(b, m)
-        rows.append(CurveRow(m, P(m), R(m), p_of_m(m), r, b and b.label))
+        b, top = branch_for(m), R(m)
+        r = None if b is None else _r_on(b, m, top)
+        rows.append(CurveRow(m, P(m), top, p_of_m(m), r, b and b.label))
     return rows
 
 

@@ -290,14 +290,15 @@ def r_of_m(m: float) -> float | None:
     if not math.isfinite(m):
         raise ValueError(f"m must be finite, got {m}")
     b = branch_for(m)
-    return None if b is None else _r_on(b, m)
+    return None if b is None else _r_on(b, m, R(m))
 
 
-def _r_on(b: Branch, m: float) -> float:
-    """r(m) on the branch b that branch_for gives for the finite m."""
+def _r_on(b: Branch, m: float, top: float) -> float:
+    """r(m) on the branch b that branch_for gives for the finite m,
+    searched for below top = R(m)."""
     m_num, m_den = m.as_integer_ratio()
     root = polynomial_root([-a * m_den - c * m_num for a, c in reversed(b.numerator)],
-                           R(m), 2.0)
+                           top, 2.0)
     value = pi_eval(b.ones, root) + m * pi_eval(b.ms, root)
     res = value - (m - 1.0) if b.form == PLAIN else m / (root - 1.0) - value - 1.0
     if not abs(res) < 1e-10:

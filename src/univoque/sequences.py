@@ -203,12 +203,16 @@ def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
 
 def _canonical(pre, per):
     per = _primitive(tuple(per))
-    pre = list(pre)
-    # absorb a shared trailing symbol by rotating the period right
-    while pre and pre[-1] == per[-1]:
-        pre.pop()
-        per = per[-1:] + per[:-1]
-    return tuple(pre), per
+    pre = tuple(pre)
+    # absorb the symbols that end pre as the period repeated ends, and
+    # rotate the period right by as many
+    k, p = len(pre), len(per)
+    while k and pre[k - 1] == per[(k - len(pre) - 1) % p]:
+        k -= 1
+    if k == len(pre):
+        return pre, per
+    r = (len(pre) - k) % p
+    return pre[:k], per[-r:] + per[:-r]
 
 
 # --- notation -------------------------------------------------------------

@@ -18,6 +18,7 @@ from univoque.automata import (
     Automaton,
     GrowthClass,
     GrowthKind,
+    _charpoly,
     _exceeds_root,
     build_safety_automaton,
     classify_growth,
@@ -205,6 +206,60 @@ def test_perron_bound_is_checked_per_branching_component():
     # a long cycle needs no characteristic polynomial
     n = 3 * MAX_PERRON_STATES
     assert growth_rate(Automaton(tuple(((s + 1) % n, None) for s in range(n)), 0)) == 1.0
+
+
+def _reference_charpoly(succ):
+    """Le Verrier's method on packed rows, one matrix entry at a time:
+    each row of A^k summed over its successors' rows, each trace term
+    shifted out of its row, and Newton's identities as one sum per
+    coefficient."""
+    n = len(succ)
+    width = (max(map(len, succ)) ** n).bit_length() + 1
+    mask = (1 << width) - 1
+    rows = [1 << (width * i) for i in range(n)]
+    sums = []
+    for _ in range(n):
+        rows = [sum(rows[t] for t in r) for r in succ]
+        sums.append(sum((row >> (width * i)) & mask for i, row in enumerate(rows)))
+    coeffs = [1]
+    for k in range(1, n + 1):
+        acc = sums[k - 1] + sum(coeffs[i] * sums[k - 1 - i] for i in range(1, k))
+        coeffs.append(-acc // k)
+    return coeffs
+
+
+@st.composite
+def strongly_connected_successors(draw):
+    """Successor lists of 1 to 40 states, strongly connected through one
+    cycle over all of them in a random order; each row is [t], [t, u]
+    or [t, t], with t, the cycle's edge, first or second."""
+    n = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(n)))
+    succ = [None] * n
+    for i, s in enumerate(order):
+        t = order[(i + 1) % n]
+        kind = draw(st.sampled_from(("one", "two", "double")))
+        row = [t] if kind == "one" else [t, t if kind == "double" else
+                                          draw(st.integers(0, n - 1))]
+        succ[s] = row[::-1] if draw(st.booleans()) else row
+    return succ
+
+
+def _largest_component_successors(blocks):
+    a = build_safety_automaton(blocks)
+    comp = max(a.components, key=len)
+    local = {s: i for i, s in enumerate(comp)}
+    return [[local[t] for t in a.transitions[s] if t in local] for s in comp]
+
+
+@settings(max_examples=200, deadline=None)
+@given(strongly_connected_successors())
+@example([[0]])
+@example([[0, 0]])
+@example(_largest_component_successors(["1" * 60 + "m", "mm1" + "m" * 40]))  # 101 states
+@example(_largest_component_successors(["1" * 120 + "m"]))  # 120 states
+def test_charpoly_matches_the_per_entry_route(succ):
+    assert _charpoly(succ) == _reference_charpoly(succ)
 
 
 def _components(transitions):
@@ -602,6 +657,31 @@ def test_one_tarjan_pass_per_automaton(monkeypatch):
         assert len(calls) == 1
 
 
+def test_build_hands_only_unmatched_trie_states_to_the_constructor(monkeypatch):
+    handed = []
+    normal_form = automata._normal_form
+
+    def spy(transitions, start):
+        handed.append(transitions)
+        return normal_form(transitions, start)
+
+    monkeypatch.setattr(automata, "_normal_form", spy)
+    rng = random.Random(28)
+    block_sets = [list(SEVEN_BLOCKS), list(SEVEN_BLOCKS + (EIGHTH_BLOCK,)),
+                  ["11", "mm"], ["1", "m"], ["11", "1m11", "m1m"]]
+    block_sets += [["".join(rng.choice("1m") for _ in range(rng.randint(1, 8)))
+                    for _ in range(rng.randint(1, 8))] for _ in range(200)]
+    for blocks in block_sets:
+        handed.clear()
+        a = build_safety_automaton(blocks)
+        # the trie's states are the blocks' prefixes; the matching ones
+        # hold a block, and no unmatched state reaches them
+        prefixes = {b[:k] for b in blocks for k in range(len(b) + 1)}
+        unmatched = [w for w in prefixes if not any(b in w for b in blocks)]
+        assert len(handed) == 1 and len(handed[0]) == len(unmatched)
+        assert a.n_states <= len(unmatched)
+
+
 def test_block_lists_are_strings_or_nothing():
     # a bare str once split into symbols: "11m" forbade 1 and m
     with pytest.raises(TypeError, match="not a str"):
@@ -704,6 +784,16 @@ def _reference_count_words(a, n):
 @example(build_safety_automaton(["11", "mm"]), 63)
 @example(build_safety_automaton(["11", "1mm", "mm1m"]), 7)
 @example(Automaton(((1, None), (None, 2), (3, None), (4, 5), (4, None), (None, 5)), 0), 9)
+# n + 1 words: the increment repeats from the second step on, and the
+# stop adds it for every step left
+@example(build_safety_automaton(["m1"]), 1)
+@example(build_safety_automaton(["m1"]), 2)
+@example(build_safety_automaton(["m1"]), 63)
+@example(build_safety_automaton(["m1"]), 64)
+# the start state's increment repeats from the second step on, but the
+# whole vector's cycles with period 3, so the stop must not fire
+@example(build_safety_automaton(["11", "1m1", "mmm1"]), 63)
+@example(build_safety_automaton(["11", "1m1", "mmm1"]), 64)
 def test_count_words_matches_the_forward_dict_route(a, n):
     assert count_words(a, n) == _reference_count_words(a, n)
 

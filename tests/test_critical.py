@@ -251,6 +251,17 @@ def test_polynomial_root_refuses_a_bracket_without_the_root():
     assert polynomial_root([1, 0, -2], 2.0, 1.0) == math.sqrt(2)
 
 
+def test_polynomial_root_stops_past_the_largest_float():
+    # negative everywhere, so the exact tests walk up past every float;
+    # the midpoints stop there instead of growing without bound
+    with pytest.raises(ValueError, match="above the largest float"):
+        polynomial_root([-1, 0, -2], 2.0, 1.0)
+    with pytest.raises(ValueError, match="above the largest float"):
+        _upper_midpoint(_ordinal(math.inf))
+    assert Fraction(*_upper_midpoint(_ordinal(sys.float_info.max))) == \
+        Fraction(sys.float_info.max) + Fraction(2) ** 970
+
+
 def _reference_upper_midpoint(y):
     """The midpoint of y and the next float up, as round_root built it
     before: from both floats over their larger power-of-2 denominator."""
@@ -267,11 +278,16 @@ def _reference_upper_midpoint(y):
 @example(0.5)
 @example(1.0)
 @example(2.0)
+@example(math.nextafter(2.0**1000, 0.0))
+@example(2.0**1000)
 @example(2.0**1023)
 @example(math.nextafter(sys.float_info.max, 0.0))
-@given(st.floats(0.0, math.nextafter(sys.float_info.max, 0.0)))
-def test_upper_midpoint_from_one_float_and_its_ulp(y):
-    assert Fraction(*_upper_midpoint(y)) == Fraction(*_reference_upper_midpoint(y))
+@given(st.one_of(st.floats(0.0, math.nextafter(sys.float_info.max, 0.0)),
+                 st.floats(0.0, 2.0**-1020),  # subnormals and the least normals
+                 st.floats(2.0**999, 2.0**1001)))
+def test_upper_midpoint_from_exponent_and_fraction_bits(y):
+    assert Fraction(*_upper_midpoint(_ordinal(y))) == \
+        Fraction(*_reference_upper_midpoint(y))
 
 
 def test_first_endpoint_three_ways():

@@ -265,6 +265,53 @@ def test_canonicalization_preserves_the_sequence(pre, per, probe):
     assert seq.symbol(probe) == raw_symbol
 
 
+def _reference_canonical(pre, per):
+    """The canonical form one absorbed symbol at a time: pop the last
+    preperiod symbol while it equals the period's last, rotating the
+    period right each time."""
+    per = tuple(per)
+    for d in range(1, len(per)):
+        if len(per) % d == 0 and per == per[:d] * (len(per) // d):
+            per = per[:d]
+            break
+    pre = list(pre)
+    while pre and pre[-1] == per[-1]:
+        pre.pop()
+        per = per[-1:] + per[:-1]
+    return tuple(pre), per
+
+
+@st.composite
+def absorbing_inputs(draw):
+    """A period, possibly repeated, and a preperiod that ends with a run
+    of the period's last symbols (repeated periods included)."""
+    per = draw(periods)
+    head = draw(sym_lists)
+    cut = draw(st.integers(0, len(per)))
+    run = per * draw(st.integers(0, 4)) + per[len(per) - cut:]
+    return head + run, per * draw(st.integers(1, 3))
+
+
+@given(absorbing_inputs())
+def test_canonical_form_matches_the_one_symbol_at_a_time_route(case):
+    pre, per = case
+    seq = EPSeq(T3, tuple(pre), tuple(per))
+    assert (seq.preperiod, seq.period) == _reference_canonical(pre, per)
+
+
+def test_canonical_form_copies_nothing_when_nothing_is_absorbed():
+    # the preperiod of (1m)^499999(m1)^w ends in m, the period in 1
+    pre, per = (1, 2) * 499_999, (2, 1)
+    tracemalloc.start()
+    try:
+        seq = EPSeq(T3, pre, per)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.preperiod == pre and seq.period == per
+    assert peak < 1_000_000
+
+
 @given(syms=sym_lists)
 def test_word_round_trip(syms):
     w = Word(T3, tuple(syms))
