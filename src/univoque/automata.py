@@ -14,22 +14,20 @@ transition tables and DOT exports reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, and_, eq, itemgetter, mul, rshift, sub
 from typing import Iterable, Sequence
 
 from ._rounding import newton_descent, round_root
-from .sequences import ZERO_FREE_SYMBOLS, _check_blocks, _require_int
+from .sequences import ZERO_FREE_SYMBOLS, _check_blocks, _Record, _require_int, _set_field
 
 # Largest branching component whose Perron root growth_rate computes.
 # The characteristic polynomial costs O(n^3) big-integer operations.
 MAX_PERRON_STATES = 128
 
 
-@dataclass(frozen=True)
-class Automaton:
+class Automaton(_Record):
     """Deterministic partial automaton over the symbols '1' and 'm'.
 
     ``transitions[s][i]`` is the target of state ``s`` on symbol
@@ -41,27 +39,33 @@ class Automaton:
     a bool, and in range) and then stored in normal form (see
     :func:`_normal_form`), with its strongly connected components,
     sinks first, in ``components``; building it again from its stored
-    table gives an equal automaton.
+    table gives an equal automaton, and pickling and copying do that.
     """
 
-    transitions: tuple[tuple[int | None, ...], ...]
-    start: int | None
-    forbidden: tuple[str, ...] = ()
-    components: tuple[tuple[int, ...], ...] = field(init=False)
+    __slots__ = ("transitions", "start", "forbidden", "components")
 
-    def __post_init__(self) -> None:
-        n = len(self.transitions)
-        if self.start is not None:
-            _check_state("start state", self.start, n)
-        for s, row in enumerate(self.transitions):
+    def __init__(self, transitions: Sequence[Sequence[int | None]], start: int | None,
+                 forbidden: tuple[str, ...] = ()):
+        n = len(transitions)
+        if start is not None:
+            _check_state("start state", start, n)
+        for s, row in enumerate(transitions):
             if len(row) != len(ZERO_FREE_SYMBOLS):
                 raise ValueError(f"state {s}: row width != symbol count")
             for t in row:
                 if t is not None and (type(t) is not int or not 0 <= t < n):
                     _check_state(f"state {s}: target", t, n)
-        normal = _normal_form(self.transitions, self.start)
-        for name, value in zip(("transitions", "start", "components"), normal):
-            object.__setattr__(self, name, value)
+        self._store(transitions, start, forbidden)
+
+    def _store(self, transitions, start, forbidden) -> None:  # a valid table's normal form
+        rows, start, components = _normal_form(transitions, start)
+        _set_field(self, "transitions", rows)
+        _set_field(self, "start", start)
+        _set_field(self, "forbidden", forbidden)
+        _set_field(self, "components", components)
+
+    def __reduce__(self):
+        return Automaton, (self.transitions, self.start, self.forbidden)
 
     @property
     def n_states(self) -> int:
@@ -76,8 +80,7 @@ class Automaton:
 
 
 def _check_state(name: str, t, n: int) -> None:
-    """TypeError unless t is an int other than a bool, ValueError unless
-    it numbers one of the n states."""
+    """TypeError unless t is an int other than a bool, ValueError unless 0 <= t < n."""
     _require_int(name, t)
     if not 0 <= t < n:
         raise ValueError(f"{name} {t} out of range")
@@ -86,14 +89,16 @@ def _check_state(name: str, t, n: int) -> None:
 def build_safety_automaton(blocks: Iterable[str]) -> Automaton:
     """Build the pruned factor automaton avoiding the given blocks,
     each a nonempty string over '1' and 'm'."""
-    texts = sorted(set(_check_blocks(blocks)), key=lambda t: (len(t), t))
+    texts = sorted(set(_check_blocks(blocks)))
+    texts.sort(key=len)  # stable: by length, then lexicographically
+    index = {c: i for i, c in enumerate(ZERO_FREE_SYMBOLS)}.__getitem__
 
     # the trie: row[i] is the child on ZERO_FREE_SYMBOLS[i], or None
     trie: list[list[int | None]] = [[None, None]]
     terminal = [False]
     for text in texts:
         cur = 0
-        for i in map(ZERO_FREE_SYMBOLS.index, text):
+        for i in map(index, text):
             nxt = trie[cur][i]
             if nxt is None:
                 nxt = trie[cur][i] = len(trie)
@@ -128,7 +133,9 @@ def build_safety_automaton(blocks: Iterable[str]) -> Automaton:
                 terminal[v] = terminal[v] or terminal[back[i]]
                 order.append(v)
     rows = tuple([(alive[x], alive[y]) for x, y in map(trie.__getitem__, kept)])
-    return Automaton(rows, 0, tuple(texts))
+    automaton = Automaton.__new__(Automaton)
+    automaton._store(rows, 0, tuple(texts))  # valid by construction
+    return automaton
 
 
 def _normal_form(transitions: Sequence[Sequence[int | None]], start: int | None):
@@ -141,7 +148,7 @@ def _normal_form(transitions: Sequence[Sequence[int | None]], start: int | None)
     when some state has no edge.  The live states reachable from the
     start are then numbered, and Tarjan's search runs once, on the rows.
     """
-    degree = [len(row) - row.count(None) for row in transitions]
+    degree = [2 - row.count(None) for row in transitions]  # rows are pairs
     dead = [s for s, k in enumerate(degree) if not k]
     if dead:
         preds: list[list[int]] = [[] for _ in transitions]
@@ -176,11 +183,11 @@ def strongly_connected_components(
     """Tarjan's algorithm with an explicit stack.
 
     Components are listed sinks first: an edge leaving a component
-    leads to one listed before it."""
+    leads to one listed before it.  A state leaving the stack with its
+    component takes the index n, so no edge into it lowers a low-link."""
     n = len(transitions)
     index = [-1] * n
     low = [0] * n
-    on = [False] * n
     stack: list[int] = []
     comps: list[tuple[int, ...]] = []
     counter = 0
@@ -191,7 +198,6 @@ def strongly_connected_components(
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on[root] = True
         while call:
             v, edges = call[-1]
             for w in edges:
@@ -202,9 +208,8 @@ def strongly_connected_components(
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on[w] = True
                     break
-                if on[w] and index[w] < low[v]:
+                if index[w] < low[v]:
                     low[v] = index[w]
             else:  # every edge of v is read
                 call.pop()
@@ -214,7 +219,7 @@ def strongly_connected_components(
                     comp = []
                     while True:
                         w = stack.pop()
-                        on[w] = False
+                        index[w] = n
                         comp.append(w)
                         if w == v:
                             break
@@ -229,8 +234,7 @@ class GrowthKind(str, Enum):
     UNCOUNTABLE = "Uncountable"
 
 
-@dataclass(frozen=True)
-class GrowthClass:
+class GrowthClass(_Record):
     """Cardinality class of the infinite-path language.
 
     ``path_count`` is the exact number of infinite paths when finite.
@@ -238,9 +242,13 @@ class GrowthClass:
     numbering) of the witnessing component: a branching component for
     Uncountable, two linked cycles for CountablyInfinite."""
 
-    kind: GrowthKind
-    path_count: int | None = None
-    evidence: tuple[int, ...] = ()
+    __slots__ = ("kind", "path_count", "evidence")
+
+    def __init__(self, kind: GrowthKind, path_count: int | None = None,
+                 evidence: tuple[int, ...] = ()):
+        _set_field(self, "kind", kind)
+        _set_field(self, "path_count", path_count)
+        _set_field(self, "evidence", evidence)
 
 
 def classify_growth(a: Automaton) -> GrowthClass:
@@ -258,7 +266,7 @@ def classify_growth(a: Automaton) -> GrowthClass:
     if a.start is None:
         return GrowthClass(GrowthKind.EMPTY, 0)
     comps = a.components
-    comp_of = [0] * a.n_states  # the index of each state's component
+    comp_of = [0] * len(a.transitions)  # the index of each state's component
     for ci, comp in enumerate(comps):
         for s in comp:
             comp_of[s] = ci
@@ -312,7 +320,7 @@ def count_words(a: Automaton, n: int) -> int:
         raise ValueError(f"n must be between 0 and 64, got {n}")
     if a.start is None:
         return 0
-    z, s = a.n_states, a.start
+    z, s = len(a.transitions), a.start
     rows = [(z if x is None else x, z if y is None else y) for x, y in a.transitions]
     rows.append((z, z))
     pairs = [rows[x] + rows[y] for x, y in rows]
@@ -406,11 +414,12 @@ def _exceeds_root(coeffs: list[int], num: int, den: int) -> bool:
     """
     d = len(coeffs) - 1
     # ascending coefficients of den^d p(y/den), then shifted to y = num + s
-    b = [c * den ** j for j, c in enumerate(coeffs)][::-1]
+    b = list(map(mul, coeffs, accumulate(repeat(den, d), mul, initial=1)))[::-1]
     for i in range(d + 1):
+        acc = b[d]
         for j in range(d - 1, i - 1, -1):
-            b[j] += num * b[j + 1]
-        if b[i] <= 0:
+            acc = b[j] = b[j] + num * acc
+        if acc <= 0:  # acc is b[i]
             return False
     return True
 

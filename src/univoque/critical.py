@@ -227,24 +227,24 @@ class Branch(_Record):
     ``notation``.  The pairs (a_k, b_k) of ``numerator`` give the integer
     polynomial N(q) = sum_k (a_k + m b_k) q^k of its residual in ``form``
     (see :func:`_numerator`); r(m) is its root, correctly rounded.
-    ``ones`` and ``ms`` are the 0/1 indicators of the digits 1 and m in
-    the sequence, whose ``pi_eval`` values check each root.  Building a
-    branch checks that its residual is strictly decreasing in q for every
-    m > 1 (the digits decide it, so at m = 2) and raises ValueError if not.
+    ``ms`` is the 0/1 indicator of the digit m, whose ``pi_eval`` checks
+    each root.  Building a branch checks that the sequence is zero-free
+    and its residual strictly decreasing in q for every m > 1 (the digits
+    decide it, so at m = 2), and raises ValueError if not.
     """
 
-    __slots__ = ("label", "notation", "form", "lo", "hi", "ones", "ms",
+    __slots__ = ("label", "notation", "form", "lo", "hi", "ms",
                  "preperiod", "period", "numerator")
 
     def __init__(self, label: str, notation: str, form: str, lo: float, hi: float):
         seq = _ternary_seq(notation, 2.0)  # its symbols do not depend on m
         _residual_fn(seq, form, 2.0)
         pre, per = seq.preperiod, seq.period
+        require_zero_free(seq.alphabet, pre + per, 2.0)
         binary = Alphabet((0.0, 1.0), ("0", "1"))
-        ones, ms = (EPSeq(binary, tuple(int(s == d) for s in pre),
-                          tuple(int(s == d) for s in per)) for d in (1, 2))
+        ms = EPSeq(binary, tuple(int(s == 2) for s in pre), tuple(int(s == 2) for s in per))
         a, b = (_numerator(seq, form, one, m) for one, m in ((1, 0), (0, 1)))
-        for name, value in zip(self.__slots__, (label, notation, form, lo, hi, ones, ms,
+        for name, value in zip(self.__slots__, (label, notation, form, lo, hi, ms,
                                                 pre, per, tuple(zip(a, b)))):
             object.__setattr__(self, name, value)
 
@@ -283,9 +283,9 @@ def r_of_m(m: float) -> float | None:
     r(m) is the float nearest to the root of N in (2, R(m)), N of the
     branch whose window holds m, found by ``polynomial_root`` on -N times
     the denominator of the float m, an integer polynomial: N changes sign
-    once for q > 1, from + to -.  Its residual there, ``pi_eval`` of the
-    branch's indicators ``ones`` plus m times ``ms`` (pi_q is linear in
-    the digits), must be below 1e-10.
+    once for q > 1, from + to -.  Its residual there must be below 1e-10,
+    with pi_q of the sequence, whose digits are 1 or m, valued as
+    1/(q - 1) + (m - 1) ``pi_eval`` of the branch's indicator ``ms``.
     """
     if not math.isfinite(m):
         raise ValueError(f"m must be finite, got {m}")
@@ -299,7 +299,7 @@ def _r_on(b: Branch, m: float, top: float) -> float:
     m_num, m_den = m.as_integer_ratio()
     root = polynomial_root([-a * m_den - c * m_num for a, c in reversed(b.numerator)],
                            top, 2.0)
-    value = pi_eval(b.ones, root) + m * pi_eval(b.ms, root)
+    value = 1.0 / (root - 1.0) + (m - 1.0) * pi_eval(b.ms, root)
     res = value - (m - 1.0) if b.form == PLAIN else m / (root - 1.0) - value - 1.0
     if not abs(res) < 1e-10:
         raise ValueError(f"residual {res} at r({m}) = {root} exceeds tolerance")

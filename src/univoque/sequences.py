@@ -15,6 +15,7 @@ an item k times.
 from __future__ import annotations
 
 import math
+from operator import le
 
 # Margin used when a strict inequality has to be decided in floating
 # point.  Values closer than this to a threshold are boundary cases.
@@ -33,6 +34,8 @@ MAX_EXPANDED_LENGTH = 1_000_000
 # NotationError (the parser recurses once per group).
 MAX_GROUP_DEPTH = 100
 
+_set_field = object.__setattr__  # past a record's refusing __setattr__
+
 
 class NotationError(ValueError):
     """Sequence text that does not conform to the notation grammar."""
@@ -45,8 +48,8 @@ class NotationError(ValueError):
 class _Record:
     """Immutable record whose fields are its ``__slots__``: equality, hash
     and repr by field, as for a frozen dataclass, without loading
-    ``dataclasses`` and ``inspect``.  Each ``__init__`` checks its
-    arguments and stores each field once; pickling and copying call it.
+    ``dataclasses`` and ``inspect``.  Each ``__init__`` checks what its
+    arguments need and stores each field once; pickling and copying call it.
     """
 
     __slots__ = ()
@@ -93,15 +96,15 @@ class Alphabet(_Record):
             raise ValueError("one character per digit required")
         if not all(map(math.isfinite, digits)):
             raise ValueError(f"digits must be finite, got {digits}")
-        if any(b <= a for a, b in zip(digits, digits[1:])):
+        if any(map(le, digits[1:], digits)):
             raise ValueError("digits must be strictly increasing")
         if len(set(chars)) != len(chars):
             raise ValueError("digit characters must be distinct")
         for c in chars:
             if len(c) != 1 or c in "()^":
                 raise ValueError(f"invalid digit character {c!r}")
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "chars", chars)
+        _set_field(self, "digits", digits)
+        _set_field(self, "chars", chars)
 
     @classmethod
     def ternary(cls, m: float) -> Alphabet:
@@ -142,14 +145,14 @@ class Word(_Record):
 
     def __init__(self, alphabet: Alphabet, symbols: tuple[int, ...]):
         _check_symbols(alphabet, symbols)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "symbols", symbols)
+        _set_field(self, "alphabet", alphabet)
+        _set_field(self, "symbols", symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
 
     def text(self) -> str:
-        return "".join(self.alphabet.chars[s] for s in self.symbols)
+        return "".join(map(self.alphabet.chars.__getitem__, self.symbols))
 
     def __str__(self) -> str:
         return self.text()
@@ -173,9 +176,9 @@ class EPSeq(_Record):
         _check_symbols(alphabet, preperiod)
         _check_symbols(alphabet, period)
         pre, per = _canonical(preperiod, period)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+        _set_field(self, "alphabet", alphabet)
+        _set_field(self, "preperiod", pre)
+        _set_field(self, "period", per)
 
     def symbol(self, i: int) -> int:
         """Symbol index at 0-based position i."""
@@ -188,8 +191,9 @@ class EPSeq(_Record):
 
 
 def _check_symbols(alphabet: Alphabet, symbols) -> None:
+    n = len(alphabet.digits)
     for s in symbols:
-        if not isinstance(s, int) or not 0 <= s < len(alphabet.digits):
+        if not isinstance(s, int) or not 0 <= s < n:
             raise ValueError(f"symbol index {s!r} outside alphabet")
 
 

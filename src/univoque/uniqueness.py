@@ -252,29 +252,31 @@ def scan_forbidden(m: float, q: float, lmax: int) -> list[Word]:
     lo_cut = m - 1.0 - EPS_CMP  # is_forbidden_block's thresholds
     hi_cut = m / (q - 1.0) - 1.0 + EPS_CMP
     kept: tuple[str, ...] = ()
-    frontier = [("", 0.0)]
+    frontier = [("1", 0.0)]  # words 1w with the head sums of their w
     t = 1.0
     for _ in range(2, lmax + 1):
         t /= q
         steps = (("1", t), ("m", m * t))
         low, high = t / (q - 1.0), m * t / (q - 1.0)
         grown = []
-        for tail, h in frontier:
+        for head, h in frontier:
             for c, d in steps:
-                ext = tail + c
-                word = "1" + ext
+                word = head + c
                 if word.endswith(kept):
                     continue
                 hd = h + d
                 lo, hi = hd + low, hd + high
                 clear = lo + allowance < lo_cut and hi - allowance > hi_cut
-                if not clear and is_forbidden_block(ext, m, q):
+                if not clear and is_forbidden_block(word[1:], m, q):
                     kept += (word,)
                 elif not (hi + 2 * allowance < lo_cut and lo - 2 * allowance > hi_cut):
-                    grown.append((ext, hd))
+                    grown.append((word, hd))
+        if not grown:  # no longer word can be tested or kept
+            break
         frontier = grown
     alphabet = Alphabet.ternary(m)
-    return [Word(alphabet, tuple(map(alphabet.chars.index, k))) for k in kept]
+    symbol = {"1": 1, "m": 2}.__getitem__  # the ternary alphabet's indices
+    return [Word(alphabet, tuple(map(symbol, k))) for k in kept]
 
 
 # --- family certification -------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for safety automata, growth classification, and word counts."""
 
+import copy
 import itertools
+import pickle
 import random
 import subprocess
 import sys
@@ -262,6 +264,38 @@ def test_charpoly_matches_the_per_entry_route(succ):
     assert _charpoly(succ) == _reference_charpoly(succ)
 
 
+def _reference_exceeds_root(coeffs, num, den):
+    """_exceeds_root with each power den ** j computed afresh and the
+    Taylor shift reading b[j + 1] back from the list."""
+    d = len(coeffs) - 1
+    b = [c * den ** j for j, c in enumerate(coeffs)][::-1]
+    for i in range(d + 1):
+        for j in range(d - 1, i - 1, -1):
+            b[j] += num * b[j + 1]
+        if b[i] <= 0:
+            return False
+    return True
+
+
+# dyadic points num / 2^k in [0, 3], where the Perron roots lie
+_DYADIC = st.integers(0, 60).flatmap(lambda k: st.tuples(st.integers(0, 3 << k), st.just(k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(strongly_connected_successors(), _DYADIC)
+@example([[0, 0]], (2, 0))  # x - 2 at its root 2: not exceeded
+@example([[0, 0]], ((2 << 60) + 1, 60))  # just above 2
+# the floats on either side of the tribonacci root
+@example(_largest_component_successors(["111"]), (8283411145409984, 52))
+@example(_largest_component_successors(["111"]), (8283411145409985, 52))
+def test_exceeds_root_matches_the_per_power_route(succ, point):
+    num, k = point
+    coeffs = _charpoly(succ)
+    while coeffs[-1] == 0:  # as _perron_root strips the factor x^k
+        coeffs.pop()
+    assert _exceeds_root(coeffs, num, 1 << k) == _reference_exceeds_root(coeffs, num, 1 << k)
+
+
 def _components(transitions):
     """Strongly connected components, from reachability sets."""
     reach = []
@@ -373,6 +407,18 @@ def test_set_up_path_loads_no_dataclasses():
     assert out.split() == ["[]", "True"]
 
 
+def test_automata_load_no_dataclasses():
+    # the automaton records are _Records too, and round-trip without them
+    code = ("import sys, copy, pickle; sys.path.insert(0, sys.argv[1]); import univoque as u; "
+            "a = u.build_safety_automaton(['111', '1mm']); g = u.classify_growth(a); "
+            "u.growth_rate(a); u.count_words(a, 9); u.export_dot(a); "
+            "pickle.loads(pickle.dumps(a)); copy.deepcopy(g); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["[]"]
+
+
 def test_exact_steps_load_no_fractions():
     # the exact root and growth-rate steps work in plain integers
     lines = run_fresh("import univoque; "
@@ -477,6 +523,109 @@ def test_trim_can_empty_the_automaton():
     assert t.start is None
     assert t.n_states == 0
     assert t.transitions == ()
+
+
+# Each call builds a fresh record; two calls build equal ones.
+AUTOMATA_RECORDS = [
+    (lambda: build_safety_automaton(SEVEN_BLOCKS)),
+    (lambda: Automaton(((1, 2), (0, None), (None, None), (0, 0)), 0, ("raw",))),
+    (lambda: build_safety_automaton(["1", "m"])),  # the empty language
+    (lambda: classify_growth(build_safety_automaton(SEVEN_BLOCKS))),
+    (lambda: GrowthClass(GrowthKind.FINITE_PATHS, 2)),
+    (lambda: GrowthClass(GrowthKind.EMPTY, 0)),
+]
+ROUND_TRIPS = pytest.mark.parametrize(
+    "round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"])
+
+
+def test_automaton_records_keep_the_dataclass_fields():
+    assert Automaton.__slots__ == ("transitions", "start", "forbidden", "components")
+    assert GrowthClass.__slots__ == ("kind", "path_count", "evidence")
+
+
+@pytest.mark.parametrize("make", AUTOMATA_RECORDS)
+def test_automaton_records_compare_and_hash_by_field(make):
+    a, b = make(), make()
+    fields = tuple(getattr(a, f) for f in type(a).__slots__)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(fields)  # as the frozen dataclasses hashed
+    assert len({a, b}) == 1
+    assert a != fields and fields != a
+
+
+def test_automaton_records_differ_by_any_field():
+    a = build_safety_automaton(["11", "mm"])
+    assert a != Automaton(a.transitions, a.start, ("other",))
+    assert a != build_safety_automaton(["11"])
+    g = GrowthClass(GrowthKind.FINITE_PATHS, 2)
+    assert g != GrowthClass(GrowthKind.FINITE_PATHS, 3)
+    assert g != GrowthClass(GrowthKind.FINITE_PATHS, 2, (0,))
+    assert g != GrowthClass(GrowthKind.COUNTABLY_INFINITE, 2)
+
+
+def test_automaton_record_reprs_are_unchanged():
+    a = build_safety_automaton(["11", "mm"])
+    assert repr(a) == ("Automaton(transitions=((1, 2), (None, 2), (1, None)), start=0, "
+                       "forbidden=('11', 'mm'), components=((1, 2), (0,)))")
+    assert repr(classify_growth(a)) == (
+        "GrowthClass(kind=<GrowthKind.FINITE_PATHS: 'FinitePaths'>, path_count=2, "
+        "evidence=())")
+    empty = build_safety_automaton(["1", "m"])
+    assert repr(empty) == \
+        "Automaton(transitions=(), start=None, forbidden=('1', 'm'), components=())"
+    assert repr(classify_growth(build_safety_automaton(["1m"]))) == (
+        "GrowthClass(kind=<GrowthKind.COUNTABLY_INFINITE: 'CountablyInfinite'>, "
+        "path_count=None, evidence=(0, 1))")
+
+
+@pytest.mark.parametrize("make", AUTOMATA_RECORDS)
+def test_automaton_records_are_immutable(make):
+    record = make()
+    before = repr(record)
+    for name in type(record).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record) == before
+
+
+@pytest.mark.parametrize("make", AUTOMATA_RECORDS)
+@ROUND_TRIPS
+def test_automaton_records_round_trip(make, round_trip):
+    record = make()
+    again = round_trip(record)
+    assert type(again) is type(record)
+    assert again == record and hash(again) == hash(record)
+    assert repr(again) == repr(record)
+
+
+@ROUND_TRIPS
+def test_automaton_round_trips_normalise_again(round_trip):
+    # an automaton is rebuilt through its constructor: a table put in
+    # behind its back comes out trimmed and renumbered
+    raw = ((1, 2), (0, None), (None, None), (0, 0))
+    a = build_safety_automaton(["11"])
+    object.__setattr__(a, "transitions", raw)
+    again = round_trip(a)
+    assert again == Automaton(raw, 0, a.forbidden)
+    assert again.transitions == ((1, None), (0, None))
+    assert again.components == ((0, 1),)
+
+
+def test_automaton_records_take_keyword_arguments():
+    rows = ((1, 2), (None, 2), (1, None))
+    a = Automaton(transitions=rows, start=0, forbidden=("11", "mm"))
+    assert a == Automaton(rows, 0, ("11", "mm")) == build_safety_automaton(["11", "mm"])
+    assert Automaton(transitions=rows, start=0).forbidden == ()
+    g = GrowthClass(kind=GrowthKind.FINITE_PATHS, path_count=2, evidence=(1,))
+    assert g == GrowthClass(GrowthKind.FINITE_PATHS, 2, (1,))
+    assert GrowthClass(kind=GrowthKind.UNCOUNTABLE) == \
+        GrowthClass(GrowthKind.UNCOUNTABLE, None, ())
 
 
 @st.composite
@@ -635,6 +784,22 @@ _AUTOMATA = st.one_of(
 @example(build_safety_automaton(SEVEN_BLOCKS))
 def test_stored_components_are_tarjans_order_on_the_stored_table(a):
     assert a.components == tuple(strongly_connected_components(a.transitions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_tables())
+# 1 and 2 reach the finished component {3} from inside the open one {1, 2}
+@example((((1, None), (2, 3), (1, 3), (3, None)), 0))
+def test_components_are_the_mutual_reachability_classes_sinks_first(table):
+    rows, _ = table
+    comps = strongly_connected_components(rows)
+    assert {frozenset(c) for c in comps} == _components(rows)
+    assert all(list(c) == sorted(c) for c in comps)
+    listed = {}
+    for i, comp in enumerate(comps):
+        listed.update(dict.fromkeys(comp, i))
+    for s, row in enumerate(rows):
+        assert all(listed[t] <= listed[s] for t in row if t is not None)
 
 
 def test_one_tarjan_pass_per_automaton(monkeypatch):

@@ -350,6 +350,28 @@ def test_a_branch_refuses_a_residual_that_does_not_decrease(notation, form):
         Branch("x", notation, form, 2.0, 3.0)
 
 
+def test_a_branch_refuses_a_sequence_with_a_zero_digit():
+    # the root check values pi_q as 1/(q - 1) + (m - 1) pi_q(ms), which
+    # holds only when every digit is 1 or m
+    with pytest.raises(ValueError, match="zero-free"):
+        Branch("x", "m0(m1)^w", PLAIN, 2.0, 3.0)
+
+
+def test_each_root_is_checked_with_one_pi_eval(monkeypatch):
+    calls = []
+
+    def counted(seq, q):
+        calls.append(seq)
+        return pi_eval(seq, q)
+
+    monkeypatch.setattr("univoque.critical.pi_eval", counted)
+    for b in branches():
+        calls.clear()
+        m = (b.lo + b.hi) / 2
+        assert r_of_m(m) is not None
+        assert calls == [b.ms]
+
+
 def test_r_gaps_return_none():
     c = compute_constants()
     for m in (1.99, 2.5, 2.95, 3.2, 4.6, 8.0, 1 + c.alpha + 1e-6):
