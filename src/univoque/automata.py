@@ -170,11 +170,8 @@ def _normal_form(transitions: Sequence[Sequence[int | None]], start: int | None)
             if t is not None and degree[t] and t not in relabel:
                 relabel[t] = len(order)
                 order.append(t)
-    if order == list(range(len(transitions))):  # all live, in this order
-        rows = tuple(map(tuple, transitions))
-    else:
-        get = relabel.get
-        rows = tuple([(get(x), get(y)) for x, y in map(transitions.__getitem__, order)])
+    get = relabel.get
+    rows = tuple([(get(x), get(y)) for x, y in map(transitions.__getitem__, order)])
     return rows, 0, tuple(strongly_connected_components(rows))
 
 

@@ -9,7 +9,10 @@ zero-free unique sequences over {1, m}:
 Between them sits a finite-to-countable threshold p(m) and a
 countable-to-uncountable threshold r(m).  Both are computed here on the
 parameter windows where a defining eventually periodic sequence is
-known; outside those windows the functions return None (unsupported).
+known.  A window is the closed interval between two edges, each the
+correctly rounded value of its closed form (m_2 is a configured
+literal), and m is compared with them as it is: outside every window,
+and so below 2 too, the functions return None (unsupported).
 
 p(m) has closed forms.  On every window r(m) is the root of a signed
 residual, pi_q(seq) - (m - 1) (plain) or reflected pi_q - 1
@@ -40,9 +43,6 @@ from .sequences import (
 
 PLAIN = "plain"
 COMPLEMENT = "complement"
-
-# How far outside a window of p(m) or r(m) an m still counts as inside it.
-WINDOW_PAD = 1e-12
 
 
 def P(m: float) -> float:
@@ -253,9 +253,7 @@ class Branch(_Record):
         return Branch, (self.label, self.notation, self.form, self.lo, self.hi)
 
     def defining_seq(self, m: float) -> EPSeq:
-        # {0, 1, m} built directly: branch_for admits m up to WINDOW_PAD below 2
-        alphabet = Alphabet((0.0, 1.0, float(m)), ("0", "1", "m"))
-        return EPSeq(alphabet, self.preperiod, self.period)
+        return EPSeq(Alphabet.ternary(m), self.preperiod, self.period)
 
 
 @lru_cache(maxsize=1)
@@ -271,7 +269,7 @@ def branches() -> tuple[Branch, ...]:
 
 def branch_for(m: float) -> Branch | None:
     for b in branches():
-        if b.lo - WINDOW_PAD <= m <= b.hi + WINDOW_PAD:
+        if b.lo <= m <= b.hi:
             return b
     return None
 
@@ -317,11 +315,9 @@ def p_of_m(m: float) -> float | None:
     if not math.isfinite(m):
         raise ValueError(f"m must be finite, got {m}")
     c = compute_constants()
-    if m < 2.0 - WINDOW_PAD:
-        return None
-    if m <= 1.0 + c.alpha + WINDOW_PAD:
+    if 2.0 <= m <= 1.0 + c.alpha:
         return float(m)
-    if c.m_d - WINDOW_PAD <= m <= c.M_d + WINDOW_PAD:
+    if c.m_d <= m <= c.M_d:
         from_pair_reflection = math.sqrt(m)
         disc = m * m + 4.0 * m * (m - 1.0)
         from_pair_plain = (m + math.sqrt(disc)) / (2.0 * (m - 1.0))

@@ -12,7 +12,6 @@ import math
 from .automata import build_safety_automaton, classify_growth, growth_rate
 from .critical import (
     PLAIN,
-    WINDOW_PAD,
     P,
     R,
     _residual_fn,
@@ -64,15 +63,12 @@ def _reflected_pair_quartic(p: float) -> float:
 
 
 # A sign relation also holds where either side is within SIGN_ZERO_TOL
-# of 0, or m within SIGN_M_TOL of one of its crossings.
+# of 0, so that an exact zero does not fail on a platform's rounding.
 SIGN_ZERO_TOL = 1e-9
-SIGN_M_TOL = 1e-6
 
 
-def _sign_ok(lhs: float, rhs: float, m: float, crossings: tuple[float, ...]) -> bool:
-    return (min(abs(lhs), abs(rhs)) <= SIGN_ZERO_TOL
-            or any(abs(m - c) <= SIGN_M_TOL for c in crossings)
-            or (lhs > 0) == (rhs > 0))
+def _sign_ok(lhs: float, rhs: float) -> bool:
+    return min(abs(lhs), abs(rhs)) <= SIGN_ZERO_TOL or (lhs > 0) == (rhs > 0)
 
 
 def appendix_sign_suite(perturb_p: float = 0.0) -> list[tuple[str, bool]]:
@@ -83,16 +79,16 @@ def appendix_sign_suite(perturb_p: float = 0.0) -> list[tuple[str, bool]]:
     Pf = lambda m: P(m) + perturb_p
 
     def q_spread(center: float) -> tuple[float, ...]:
-        qs = (1.3, 2.0, center - 0.08, center + 0.08, 3.5)
-        return tuple(q for q in qs if q > 1.01)
+        # each center is at least the golden ratio (r912 at m = 2): no q is below 1.3
+        return 1.3, 2.0, center - 0.08, center + 0.08, 3.5
 
     checks: list[tuple[str, bool]] = []
 
-    def add(name, m, lhs, rhs, crossings=()):
-        checks.append((name, _sign_ok(lhs, rhs, m, crossings)))
+    def add(name, lhs, rhs):
+        checks.append((name, _sign_ok(lhs, rhs)))
 
-    def add_identity(name, value, tol=1e-12):
-        checks.append((name, abs(value) <= tol))
+    def add_identity(name, value):
+        checks.append((name, abs(value) <= 1e-12))
 
     for m in M_GRID:
         ones = _ternary_seq("1^w", m)
@@ -107,59 +103,45 @@ def appendix_sign_suite(perturb_p: float = 0.0) -> list[tuple[str, bool]]:
         add_identity("R_gap_identity", (m - 1.0) * (Rm - 2.0) - 1.0)
 
         for q in q_spread(m):
-            add("all_ones_reflection", m,
-                pi_complement(ones, m, q) - 1.0, m - q)
-        add("all_ones_reflection_at_P", m,
-            pi_complement(ones, m, Pm) - 1.0, m - Pm, (1.0 + c.alpha,))
+            add("all_ones_reflection", pi_complement(ones, m, q) - 1.0, m - q)
+        add("all_ones_reflection_at_P", pi_complement(ones, m, Pm) - 1.0, m - Pm)
 
         r0 = _closed_comp0(m)
         for q in q_spread(r0):
-            add("single_one_tail_root", m,
-                pi_eval(single_tail, q) - (m - 1.0), r0 - q)
-        add("single_one_tail_at_R", m,
-            pi_eval(single_tail, Rm) - (m - 1.0), -1.0)
-        add("single_one_tail_at_P", m,
-            pi_eval(single_tail, Pm) - (m - 1.0), (1.0 + c.alpha) - m,
-            (1.0 + c.alpha,))
+            add("single_one_tail_root", pi_eval(single_tail, q) - (m - 1.0), r0 - q)
+        add("single_one_tail_at_R", pi_eval(single_tail, Rm) - (m - 1.0), -1.0)
+        add("single_one_tail_at_P",
+            pi_eval(single_tail, Pm) - (m - 1.0), (1.0 + c.alpha) - m)
 
         q97 = (m + math.sqrt(m * m + 4.0 * m * (m - 1.0))) / (2.0 * (m - 1.0))
         for q in q_spread(q97):
-            add("pair_rational_numerator", m,
-                pi_eval(pair, q) - (m - 1.0),
+            add("pair_rational_numerator", pi_eval(pair, q) - (m - 1.0),
                 (q + 1.0) - (m - 1.0) * (q * q - q - 1.0))
         cubic = _pair_cubic(Pm)
-        add("pair_at_P", m,
-            pi_eval(pair, Pm) - (m - 1.0), cubic, (c.m_d,))
-        add("pair_cubic_vs_m_d", m, cubic, c.m_d - m, (c.m_d,))
+        add("pair_at_P", pi_eval(pair, Pm) - (m - 1.0), cubic)
+        add("pair_cubic_vs_m_d", cubic, c.m_d - m)
 
         quartic = _reflected_pair_quartic(Pm)
-        add("reflected_pair_at_P", m,
-            pi_complement(pair, m, Pm) - 1.0, quartic, (c.M_d,))
-        add("reflected_quartic_vs_M_d", m, quartic, m - c.M_d, (c.M_d,))
+        add("reflected_pair_at_P", pi_complement(pair, m, Pm) - 1.0, quartic)
+        add("reflected_quartic_vs_M_d", quartic, m - c.M_d)
 
         r912 = _closed_left(m)
         for q in q_spread(r912):
-            add("alternating_reflection_root", m,
-                pi_complement(alt, m, q) - 1.0, r912 - q)
-        if c.m_d - WINDOW_PAD <= m <= c.m_1 + WINDOW_PAD:
-            add("alternating_reflection_at_R", m,
-                pi_complement(alt, m, Rm) - 1.0, -1.0)
-        if m >= c.m_d - WINDOW_PAD:
-            add("alternating_reflection_at_P", m,
-                pi_complement(alt, m, Pm) - 1.0, 1.0, (c.m_d,))
+            add("alternating_reflection_root", pi_complement(alt, m, q) - 1.0, r912 - q)
+        if c.m_d <= m <= c.m_1:
+            add("alternating_reflection_at_R", pi_complement(alt, m, Rm) - 1.0, -1.0)
+        if m >= c.m_d:
+            add("alternating_reflection_at_P", pi_complement(alt, m, Pm) - 1.0, 1.0)
 
         for q in q_spread(2.4):
-            add("double_m_tail", m,
-                pi_eval(double_tail, q) - (m - 1.0),
+            add("double_m_tail", pi_eval(double_tail, q) - (m - 1.0),
                 1.0 - (m - 1.0) * (q - 2.0 + q ** -2))
 
         if m > 2.0 + 1e-9:
-            add("m_pair_at_base_m_minus_1", m,
-                pi_eval(m_pair, m - 1.0) - (m - 1.0), c.m_4 - m, (c.m_4,))
-        add("m_pair_at_R", m,
-            pi_eval(m_pair, Rm) - (m - 1.0), -1.0)
-        add("m_pair_at_P", m,
-            pi_eval(m_pair, Pm) - (m - 1.0), c.M_d - m, (c.M_d,))
+            add("m_pair_at_base_m_minus_1",
+                pi_eval(m_pair, m - 1.0) - (m - 1.0), c.m_4 - m)
+        add("m_pair_at_R", pi_eval(m_pair, Rm) - (m - 1.0), -1.0)
+        add("m_pair_at_P", pi_eval(m_pair, Pm) - (m - 1.0), c.M_d - m)
 
     return checks
 
@@ -228,14 +210,13 @@ _M_3_PRINTED = ("3.10204", "3.10214")
 def _suite_constants():
     c = compute_constants()
     bad = [k for k, v in _FROZEN_CONSTANTS.items() if getattr(c, k) != v]
-    ok = not bad and 3.1015 <= c.m_3 <= 3.1025
     delta, printed = min((abs(c.m_3 - float(p)), p) for p in _M_3_PRINTED)
     match = (f"{printed} (delta {delta:.2e})" if delta <= 1.5e-5
              else f"neither printed value (computed {c.m_3:.7f})")
     detail = f"m_3={c.m_3:.10f} matches {match}"
     if bad:
         detail += f"; drifted: {','.join(bad)}"
-    return "constants", ok, detail
+    return "constants", not bad, detail
 
 
 def _suite_branch_residuals():

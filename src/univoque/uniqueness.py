@@ -176,7 +176,9 @@ def is_forbidden_block(w: str, m: float, q: float) -> bool:
     fails (both valued by pi_eval's closed form, bit for bit).  Valid
     for 2 < q <= 1 + m/(m-1).  The comparisons are lenient: a bound
     within ``EPS_CMP`` of its threshold counts as reaching it, so a
-    block that only touches a threshold is declared forbidden.
+    block that only touches a threshold is declared forbidden.  Near a
+    flip the test need not be monotone in q at float resolution, so a
+    bisection over q gives a bracket, not a unique crossing.
     """
     _require_block_params(m, q)
     if not isinstance(w, str):

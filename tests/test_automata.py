@@ -453,6 +453,15 @@ def test_every_public_name_resolves():
         univoque.no_such_name
 
 
+def test_dir_lists_the_layers_and_every_public_name():
+    # before any layer has loaded, so every name listed is a lazy one
+    listed, public = (line.split() for line in run_fresh(
+        "import univoque; print(*dir(univoque)); print(*univoque.__all__)"))
+    assert listed == sorted(listed)
+    assert {"sequences", "uniqueness", "critical", "automata"} <= set(listed)
+    assert set(public) <= set(listed)
+
+
 def test_empty_language_growth_rate_is_zero():
     assert growth_rate(build_safety_automaton(["1", "m"])) == 0.0
 

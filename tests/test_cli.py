@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import subprocess
 import sys
@@ -20,6 +21,8 @@ from univoque.cli import (
     curve_rows,
     main,
 )
+from univoque import selftest
+from univoque.critical import Constants
 from univoque.selftest import run_selftest
 from univoque.sequences import MAX_EXPANDED_LENGTH, Alphabet, parse_seq
 
@@ -75,6 +78,13 @@ def test_pi_rejects_non_finite_base(capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_pi_rejects_a_base_that_is_not_a_number(capsys):
+    code, out, err = run(capsys, "pi", "1^w", "--q", "abc", "--m", "3")
+    assert code == 2
+    assert out == ""
+    assert "invalid float value: 'abc'" in err
 
 
 def test_pi_rejects_a_value_that_overflows(capsys):
@@ -519,6 +529,39 @@ def test_selftest_perturbation_fails(capsys):
     code, out, _ = run(capsys, "selftest", "--perturb-p", "0.001")
     assert code == 1
     assert "FAIL sign_relations" in out
+
+
+def _drifted_constants(real):
+    fields = {name: getattr(real(), name) for name in Constants.__slots__}
+    fields["q_4"] = math.nextafter(fields["q_4"], math.inf)
+    drifted = Constants(**fields)
+    return lambda: drifted
+
+
+# suite, the name in univoque.selftest that is broken, how, and a note
+# that the suite's line must then carry
+_BROKEN_INPUTS = [
+    ("constants", "compute_constants", _drifted_constants, "drifted: q_4"),
+    ("branch_residuals", "r_of_m", lambda real: lambda m: real(m) + 1e-6,
+     "Comp0_full: bad r at m=2.0; Comp0_full: bisection disagrees at m=2.0"),
+    ("family_certificates", "certify_family", lambda real: lambda *args: True,
+     "mmmmm1+mmmmmm1@q=2.5: True/True"),
+    ("forbidden_scan", "scan_forbidden", lambda real: lambda *args: real(*args)[:-1],
+     ": " + " ".join(SEVEN_BLOCKS[:-1])),
+    ("automata_fixtures", "build_safety_automaton",
+     lambda real: lambda blocks: real(tuple(blocks)[1:]), "kinds Uncountable/Uncountable"),
+]
+
+
+@pytest.mark.parametrize("suite,name,broken,note", _BROKEN_INPUTS,
+                         ids=[case[0] for case in _BROKEN_INPUTS])
+def test_every_selftest_suite_can_fail(capsys, monkeypatch, suite, name, broken, note):
+    monkeypatch.setattr(selftest, name, broken(getattr(selftest, name)))
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    [line] = [line for line in out.splitlines() if line.split()[1] == f"{suite}:"]
+    assert line.startswith(f"FAIL {suite}: ")
+    assert note in line
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

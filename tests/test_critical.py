@@ -390,6 +390,40 @@ def test_branch_labels_and_windows():
         assert lo < hi
 
 
+@pytest.mark.parametrize("index", range(4))
+def test_each_window_is_closed_between_its_rounded_edges(index):
+    """A branch holds at both edges of its window and at neither float
+    just outside them: m is compared with the edges as they are."""
+    b = branches()[index]
+    for edge in (b.lo, b.hi):
+        assert branch_for(edge) is b
+        assert r_of_m(edge) is not None
+    for outside in (math.nextafter(b.lo, 0.0), math.nextafter(b.hi, math.inf)):
+        assert branch_for(outside) is not b
+        assert r_of_m(outside) is None
+
+
+def test_p_holds_exactly_on_its_two_windows():
+    c = compute_constants()
+    assert p_of_m(2.0) == 2.0 and p_of_m(1 + c.alpha) == 1 + c.alpha
+    for lo, hi in ((2.0, 1 + c.alpha), (c.m_d, c.M_d)):
+        assert p_of_m(lo) is not None and p_of_m(hi) is not None
+        assert p_of_m(math.nextafter(lo, 0.0)) is None
+        assert p_of_m(math.nextafter(hi, math.inf)) is None
+
+
+def test_nothing_below_two_reaches_a_branch():
+    below = math.nextafter(2.0, 0.0)
+    assert branch_for(below) is None
+    assert r_of_m(below) is None and p_of_m(below) is None
+    with pytest.raises(ValueError) as refused:
+        Alphabet.ternary(1.5)
+    for b in branches():
+        with pytest.raises(ValueError) as raised:
+            b.defining_seq(1.5)
+        assert str(raised.value) == str(refused.value)
+
+
 # Each window's defining equation as an integer polynomial in (m, q),
 # written out by hand: its root in (2, R(m)) is r(m).
 _WINDOW_POLYNOMIALS = {
@@ -565,6 +599,13 @@ def test_solver_evaluates_the_residual_once_per_base(monkeypatch):
         root = solve_pi_root(b.defining_seq(m), b.form, m)
         assert len(bases) == len(set(bases)), b.label
         assert bases[:2] == [2.0, R(m)] and bases[-1] == root
+
+
+@pytest.mark.parametrize("root", [2.0, 3.0, 2.5, 2.25, 2.875])
+def test_bisect_root_returns_a_base_where_f_vanishes(root):
+    """An end of the bracket, or a midpoint on the way, where f is 0 is
+    returned as it is."""
+    assert bisect_root(lambda q: root - q, 2.0, 3.0) == root
 
 
 def test_solver_error_paths():

@@ -40,10 +40,19 @@ def test_general_alphabet_uses_index_characters():
 
 
 @pytest.mark.parametrize("digits", [[1], [0, 0], [2, 1], [],
-                                    [0, math.inf], [0, math.nan]])
+                                    [0, math.inf], [0, math.nan], list(range(11))])
 def test_bad_alphabets_rejected(digits):
     with pytest.raises(ValueError):
         Alphabet.from_digits(digits)
+
+
+@pytest.mark.parametrize("chars,message", [
+    (("0", "1", "m"), "one character per digit required"),
+    *((("0", c), "invalid digit character") for c in "()^"),
+])
+def test_alphabet_refuses_bad_digit_characters(chars, message):
+    with pytest.raises(ValueError, match=message):
+        Alphabet((0.0, 1.0), chars)
 
 
 def test_ternary_needs_m_at_least_two():
