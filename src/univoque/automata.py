@@ -343,8 +343,6 @@ def growth_rate(a: Automaton) -> float:
     (:func:`_perron_root`).  A branching component of more than
     ``MAX_PERRON_STATES`` states raises ValueError.
     """
-    if a.start is None:
-        return 0.0
     best = 0.0
     for comp in a.components:
         if len(comp) == 1:

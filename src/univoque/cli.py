@@ -50,15 +50,6 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _perturbation(text: str) -> float:
-    """argparse type for --perturb-p: a finite offset of size at most 1;
-    the sign suite raises P(m) plus the offset to the fourth power."""
-    x = _finite_float(text)
-    if not abs(x) <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [-1, 1], got {text!r}")
-    return x
-
-
 def _alphabet_from_args(args) -> Alphabet:
     if args.digits is not None:
         if args.m is not None:
@@ -249,7 +240,7 @@ def cmd_automaton(args) -> int:
 
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
-    results = run_selftest(perturb_p=args.perturb_p)
+    results = run_selftest()
     if args.json:
         print(json.dumps([{"name": n, "passed": ok, "detail": d}
                           for n, ok, d in results]))
@@ -315,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="run consistency suites")
     p_self.add_argument("--json", action="store_true")
-    p_self.add_argument("--perturb-p", type=_perturbation, default=0.0,
-                        help="offset added to P(m); nonzero must fail")
     p_self.set_defaults(func=cmd_selftest)
 
     return parser

@@ -3,6 +3,10 @@ r(2), the solved constants, branch residuals, the seven published
 blocks, the forbidden-block scan and block families.  Each suite checks
 a result against an independent route to it.  Only the ``selftest``
 subcommand imports this module.
+
+``tests/test_cli.py::test_every_selftest_suite_can_fail`` shows each
+suite failing: it breaks one name this module imports and checks the
+suite's FAIL line.
 """
 
 from __future__ import annotations
@@ -71,12 +75,11 @@ def _sign_ok(lhs: float, rhs: float) -> bool:
     return min(abs(lhs), abs(rhs)) <= SIGN_ZERO_TOL or (lhs > 0) == (rhs > 0)
 
 
-def appendix_sign_suite(perturb_p: float = 0.0) -> list[tuple[str, bool]]:
+def appendix_sign_suite() -> list[tuple[str, bool]]:
     """(name, passed) for every documented sign relation between pi
     residuals and their polynomial or threshold equivalents over
-    M_GRID; ``perturb_p`` offsets the P curve (nonzero must fail)."""
+    M_GRID."""
     c = compute_constants()
-    Pf = lambda m: P(m) + perturb_p
 
     def q_spread(center: float) -> tuple[float, ...]:
         # each center is at least the golden ratio (r912 at m = 2): no q is below 1.3
@@ -97,7 +100,7 @@ def appendix_sign_suite(perturb_p: float = 0.0) -> list[tuple[str, bool]]:
         alt = _ternary_seq("(1m)^w", m)
         double_tail = _ternary_seq("mm1^w", m)
         m_pair = _ternary_seq("m(m1)^w", m)
-        Pm, Rm = Pf(m), R(m)
+        Pm, Rm = P(m), R(m)
 
         add_identity("P_product_identity", (m - 1.0) * Pm * (Pm - 2.0) - 1.0)
         add_identity("R_gap_identity", (m - 1.0) * (Rm - 2.0) - 1.0)
@@ -137,7 +140,7 @@ def appendix_sign_suite(perturb_p: float = 0.0) -> list[tuple[str, bool]]:
             add("double_m_tail", pi_eval(double_tail, q) - (m - 1.0),
                 1.0 - (m - 1.0) * (q - 2.0 + q ** -2))
 
-        if m > 2.0 + 1e-9:
+        if m > 2.0:
             add("m_pair_at_base_m_minus_1",
                 pi_eval(m_pair, m - 1.0) - (m - 1.0), c.m_4 - m)
         add("m_pair_at_R", pi_eval(m_pair, Rm) - (m - 1.0), -1.0)
@@ -146,18 +149,16 @@ def appendix_sign_suite(perturb_p: float = 0.0) -> list[tuple[str, bool]]:
     return checks
 
 
-def locate_crossovers(perturb_p: float = 0.0) -> list[tuple[str, float, bool]]:
+def locate_crossovers() -> list[tuple[str, float, bool]]:
     """(name, located, passed) for each sign flip, bisected and compared
-    with the solved constant; ``located`` is NaN when no flip is found.
-    Any nonzero ``perturb_p`` offset of the P curve must move them."""
+    with the solved constant; ``located`` is NaN when no flip is found."""
     c = compute_constants()
-    Pf = lambda m: P(m) + perturb_p
     entries = [
         ("single_one_tail_at_P", 1.0 + c.alpha, 2.0, 3.0,
-         lambda m: pi_eval(_ternary_seq("m1^w", m), Pf(m)) - (m - 1.0)),
-        ("pair_cubic", c.m_d, 2.2, 3.5, lambda m: _pair_cubic(Pf(m))),
+         lambda m: pi_eval(_ternary_seq("m1^w", m), P(m)) - (m - 1.0)),
+        ("pair_cubic", c.m_d, 2.2, 3.5, lambda m: _pair_cubic(P(m))),
         ("reflected_pair_quartic", c.M_d, 3.5, 5.5,
-         lambda m: _reflected_pair_quartic(Pf(m))),
+         lambda m: _reflected_pair_quartic(P(m))),
         ("m_pair_at_base_m_minus_1", c.m_4, 2.5, 4.2,
          lambda m: pi_eval(_ternary_seq("m(m1)^w", m), m - 1.0) - (m - 1.0)),
     ]
@@ -173,10 +174,10 @@ def locate_crossovers(perturb_p: float = 0.0) -> list[tuple[str, float, bool]]:
 
 # --- suites -----------------------------------------------------------------
 
-def _suite_sign_relations(perturb_p: float):
-    checks = appendix_sign_suite(perturb_p=perturb_p)
+def _suite_sign_relations():
+    checks = appendix_sign_suite()
     failed = sum(not ok for _, ok in checks)
-    crossovers = locate_crossovers(perturb_p)
+    crossovers = locate_crossovers()
     parts = [f"{name}@{located:.9f}" for name, located, _ in crossovers]
     return [("sign_relations", not failed, f"{len(checks)} checks, {failed} failed"),
             ("crossovers", all(ok for _, _, ok in crossovers), "; ".join(parts))]
@@ -284,8 +285,8 @@ def _suite_families():
     return "family_certificates", ok, "; ".join(notes)
 
 
-def run_selftest(perturb_p: float = 0.0) -> list[tuple[str, bool, str]]:
+def run_selftest() -> list[tuple[str, bool, str]]:
     """(name, passed, detail) for each suite, in a fixed order."""
-    return [*_suite_sign_relations(perturb_p), _suite_endpoint_r2(),
+    return [*_suite_sign_relations(), _suite_endpoint_r2(),
             _suite_constants(), _suite_branch_residuals(), _suite_automata(),
             _suite_forbidden_scan(), _suite_families()]

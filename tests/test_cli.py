@@ -334,6 +334,8 @@ GOLDEN_STDOUT = {
         "5d591be69c151d01e307f43c5790d09cc5444bf7b5e70a4dc59616920d618fb9",
     ("selftest",):
         "54910ba82bc37635396861cd431190af0188e2b2d3fd02cda9fa667a3d1d8b1d",
+    ("selftest", "--json"):
+        "70fe4228ceea98c8bbe058181bd3445bbbd533c6b149410d57e7f3f59dd43b9b",
     ("automaton", "--blocks", "111", "--classify"):
         "6977ca1605a21f93b581fca9b5cdbc25e8120a526c40b8a64f888b7b32cac7cd",
     ("automaton", "--blocks", "1111,mmm", "--classify"):
@@ -366,6 +368,8 @@ def _golden_id(argv):
         if argv[1] == "--scan" and "--dot" not in argv:
             return f"automaton-{argv[2]}-{argv[3]}"
         return f"automaton-{argv[2]}"
+    if argv[0] == "selftest":
+        return "-".join(arg.lstrip("-") for arg in argv)
     return argv[0]
 
 
@@ -525,12 +529,6 @@ def test_stdout_closed_early_exits_1_without_a_traceback():
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
-def test_selftest_perturbation_fails(capsys):
-    code, out, _ = run(capsys, "selftest", "--perturb-p", "0.001")
-    assert code == 1
-    assert "FAIL sign_relations" in out
-
-
 def _drifted_constants(real):
     fields = {name: getattr(real(), name) for name in Constants.__slots__}
     fields["q_4"] = math.nextafter(fields["q_4"], math.inf)
@@ -538,11 +536,18 @@ def _drifted_constants(real):
     return lambda: drifted
 
 
+def _offset(delta):
+    return lambda real: lambda *args: real(*args) + delta
+
+
 # suite, the name in univoque.selftest that is broken, how, and a note
 # that the suite's line must then carry
 _BROKEN_INPUTS = [
+    ("sign_relations", "P", _offset(1e-3), "7582 checks, 205 failed"),
+    ("crossovers", "P", _offset(1e-3), "single_one_tail_at_P@2.322655400"),
+    ("endpoint_r2", "solve_pi_root", _offset(1e-6), "solved=2.618034988750085"),
     ("constants", "compute_constants", _drifted_constants, "drifted: q_4"),
-    ("branch_residuals", "r_of_m", lambda real: lambda m: real(m) + 1e-6,
+    ("branch_residuals", "r_of_m", _offset(1e-6),
      "Comp0_full: bad r at m=2.0; Comp0_full: bisection disagrees at m=2.0"),
     ("family_certificates", "certify_family", lambda real: lambda *args: True,
      "mmmmm1+mmmmmm1@q=2.5: True/True"),
@@ -559,33 +564,12 @@ def test_every_selftest_suite_can_fail(capsys, monkeypatch, suite, name, broken,
     monkeypatch.setattr(selftest, name, broken(getattr(selftest, name)))
     code, out, _ = run(capsys, "selftest")
     assert code == 1
+    # the table breaks every suite that run_selftest() reports
+    assert {line.split()[1] for line in out.splitlines()} == \
+        {f"{case[0]}:" for case in _BROKEN_INPUTS}
     [line] = [line for line in out.splitlines() if line.split()[1] == f"{suite}:"]
     assert line.startswith(f"FAIL {suite}: ")
     assert note in line
-
-
-@pytest.mark.parametrize("value", ["inf", "nan"])
-def test_selftest_rejects_a_non_finite_perturbation(capsys, value):
-    code, out, err = run(capsys, "selftest", "--perturb-p", value)
-    assert code == 2
-    assert out == ""
-    assert "must be finite" in err
-
-
-@pytest.mark.parametrize("value", ["1e100", "1e154", "1e308", "-1.5"])
-def test_selftest_rejects_a_perturbation_above_one(capsys, value):
-    code, out, err = run(capsys, "selftest", f"--perturb-p={value}")
-    assert code == 2
-    assert out == ""
-    assert "must lie in [-1, 1]" in err
-    assert err.count("error:") == 1
-
-
-@pytest.mark.parametrize("value", ["1", "-1"])
-def test_selftest_runs_at_either_end_of_the_perturbation_range(capsys, value):
-    code, out, err = run(capsys, "selftest", f"--perturb-p={value}")
-    assert (code, err) == (1, "")
-    assert "FAIL sign_relations" in out
 
 
 def test_missing_subcommand_exits_2(capsys):
@@ -593,4 +577,6 @@ def test_missing_subcommand_exits_2(capsys):
 
 
 def test_unknown_flag_exits_2(capsys):
-    assert run(capsys, "pi", "1^w", "--nope")[0] == 2
+    # selftest has no --perturb-p: the suites are broken from the tests
+    for argv in (("pi", "1^w", "--nope"), ("selftest", "--perturb-p", "0.001")):
+        assert run(capsys, *argv)[0] == 2
